@@ -192,8 +192,24 @@ func runInspect(args []string) {
 	tbl.Add("helps", ps.Helps)
 	tbl.Print(os.Stdout)
 
+	// Per-shard index summaries: each shard holds its own skip list and
+	// Bw-tree, so a multi-shard image is reported shard by shard.
+	for si := 0; si < store.ShardCount(); si++ {
+		summarizeShard(store, si, *showKeys)
+	}
+}
+
+// summarizeShard prints shard si's skip list and Bw-tree summaries. On a
+// one-shard image the table titles carry no shard suffix.
+func summarizeShard(store *pmwcas.Store, si int, showKeys bool) {
+	sh := store.Shard(si)
+	suffix := ""
+	if store.ShardCount() > 1 {
+		suffix = fmt.Sprintf(" (shard %d)", si)
+	}
+
 	// Skip list summary.
-	if list, err := store.SkipList(); err == nil {
+	if list, err := sh.SkipList(); err == nil {
 		h := list.NewHandle(1)
 		n := 0
 		var minK, maxK uint64
@@ -203,12 +219,12 @@ func runInspect(args []string) {
 			}
 			maxK = e.Key
 			n++
-			if *showKeys {
-				fmt.Printf("  skiplist %d -> %d\n", e.Key, e.Value)
+			if showKeys {
+				fmt.Printf("  skiplist%s %d -> %d\n", suffix, e.Key, e.Value)
 			}
 			return true
 		})
-		tbl = harness.NewTable("skip list", "metric", "value")
+		tbl := harness.NewTable("skip list"+suffix, "metric", "value")
 		tbl.Add("keys", n)
 		if n > 0 {
 			tbl.Add("min key", minK)
@@ -218,10 +234,10 @@ func runInspect(args []string) {
 	}
 
 	// Bw-tree summary.
-	if tree, err := store.BwTree(pmwcas.BwTreeOptions{}); err == nil {
+	if tree, err := sh.BwTree(pmwcas.BwTreeOptions{}); err == nil {
 		h := tree.NewHandle()
 		st := tree.Stats(h)
-		tbl = harness.NewTable("bw-tree", "metric", "value")
+		tbl := harness.NewTable("bw-tree"+suffix, "metric", "value")
 		tbl.Add("height", st.Height)
 		tbl.Add("leaves", st.Leaves)
 		tbl.Add("inner pages", st.Inners)
@@ -230,9 +246,9 @@ func runInspect(args []string) {
 		tbl.Add("live delta records", st.ChainLinks)
 		tbl.Add("LPIDs used", st.UsedLPIDs)
 		tbl.Print(os.Stdout)
-		if *showKeys {
+		if showKeys {
 			h.Scan(1, pmwcas.MaxBwTreeKey, func(e pmwcas.BwTreeEntry) bool {
-				fmt.Printf("  bwtree %d -> %d\n", e.Key, e.Value)
+				fmt.Printf("  bwtree%s %d -> %d\n", suffix, e.Key, e.Value)
 				return true
 			})
 		}

@@ -222,12 +222,20 @@ func (h *Handle) clearSlot() {
 // is crash-atomic: after recovery the key maps to either the old or the
 // new value, and no record block is leaked either way.
 //
-//pmwcas:hotpath — server blob PUT: one staged record write plus the index publication loop
+//pmwcas:hotpath — blob PUT: key encode plus PutEncoded
 func (h *Handle) Put(key, val []byte) error {
 	k, err := keycodec.Encode(key)
 	if err != nil {
 		return err
 	}
+	return h.PutEncoded(k, val)
+}
+
+// PutEncoded is Put for a key already packed with keycodec.Encode, for
+// callers that encode once to validate and route before the store.
+//
+//pmwcas:hotpath — server blob PUT: one staged record write plus the index publication loop
+func (h *Handle) PutEncoded(k uint64, val []byte) error {
 	if len(val) > MaxValueLen {
 		return ErrValueTooLarge
 	}
@@ -279,12 +287,20 @@ func (h *Handle) Get(key []byte) ([]byte, error) {
 // the record may be recycled the moment the guard drops — but the
 // destination buffer need not be fresh per call.
 //
-//pmwcas:hotpath — server blob GET; one record copy into a connection-owned scratch buffer, no other heap traffic
+//pmwcas:hotpath — blob GET: key encode plus GetAppendEncoded
 func (h *Handle) GetAppend(key, dst []byte) ([]byte, error) {
 	k, err := keycodec.Encode(key)
 	if err != nil {
 		return dst, err
 	}
+	return h.GetAppendEncoded(k, dst)
+}
+
+// GetAppendEncoded is GetAppend for a key already packed with
+// keycodec.Encode.
+//
+//pmwcas:hotpath — server blob GET; one record copy into a connection-owned scratch buffer, no other heap traffic
+func (h *Handle) GetAppendEncoded(k uint64, dst []byte) ([]byte, error) {
 	// The guard must span lookup AND record copy: a concurrent Put could
 	// otherwise recycle the record between the two.
 	g := h.lh.Guard()
@@ -321,6 +337,13 @@ func (h *Handle) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
+	return h.DeleteEncoded(k)
+}
+
+// DeleteEncoded is Delete for a key already packed with keycodec.Encode.
+//
+//pmwcas:hotpath — server blob DELETE: one owned index delete
+func (h *Handle) DeleteEncoded(k uint64) error {
 	if _, err := h.lh.DeleteOwned(k); err != nil {
 		return ErrNotFound
 	}

@@ -72,7 +72,7 @@ type Config struct {
 // ListenAndServe, stop with Shutdown.
 type Server struct {
 	cfg  Config
-	pool chan backend
+	pool chan *kvConn
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -86,9 +86,9 @@ type Server struct {
 	rejected atomic.Uint64
 }
 
-// New builds a server and mints its backend pool. Handle budgeting
-// happens here: a store too small for MaxConns fails fast, not at the
-// first accept.
+// New builds a server and mints its connection-handle pool. Handle
+// budgeting happens here: a store too small for MaxConns fails fast, not
+// at the first accept.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
@@ -105,12 +105,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	backends, err := newBackends(cfg.Store, cfg.Index, cfg.MaxConns)
+	kvs, err := newKVConns(cfg.Store, cfg.Index, cfg.MaxConns)
 	if err != nil {
 		return nil, err
 	}
-	pool := make(chan backend, len(backends))
-	for _, b := range backends {
+	pool := make(chan *kvConn, len(kvs))
+	for _, b := range kvs {
 		pool <- b
 	}
 	return &Server{cfg: cfg, pool: pool, conns: make(map[net.Conn]struct{})}, nil
@@ -159,7 +159,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.mu.Unlock()
 			go s.serveConn(conn, b)
 		default:
-			// Connection cap: every backend is leased. Reject gracefully
+			// Connection cap: every handle is leased. Reject gracefully
 			// with a BUSY response instead of a silent RST.
 			s.reject(conn, fmt.Sprintf("connection cap (%d) reached", s.cfg.MaxConns))
 		}
@@ -277,7 +277,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // serveConn is one connection's request loop: read frame, execute,
 // append response, flushing only when no further request is already
 // buffered (write batching under pipelining).
-func (s *Server) serveConn(conn net.Conn, b backend) {
+func (s *Server) serveConn(conn net.Conn, b *kvConn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	lane := metrics.NextStripe()
@@ -361,11 +361,11 @@ type respScratch struct {
 	one [1]wire.Entry
 }
 
-// handle executes one decoded request against the connection's backend.
+// handle executes one decoded request against the connection's handle.
 // Point ops take the allocation-verified fast path; everything else
 // (scans, admin ops) returns variable-size output and is priced
 // per-call.
-func (s *Server) handle(b backend, req *wire.Request, sc *respScratch) wire.Response {
+func (s *Server) handle(b *kvConn, req *wire.Request, sc *respScratch) wire.Response {
 	switch req.Op {
 	case wire.OpPing, wire.OpGet, wire.OpPut, wire.OpDelete:
 		return s.handlePoint(b, req, sc)
@@ -377,13 +377,12 @@ func (s *Server) handle(b backend, req *wire.Request, sc *respScratch) wire.Resp
 // sc; its Msg strings are constants or rare-path renderings.
 //
 //pmwcas:hotpath — per-request server point-op path: decoded request to encoded response with zero steady-state heap traffic
-func (s *Server) handlePoint(b backend, req *wire.Request, sc *respScratch) wire.Response {
+func (s *Server) handlePoint(b *kvConn, req *wire.Request, sc *respScratch) wire.Response {
 	switch req.Op {
 	case wire.OpPing:
 		return wire.Response{Status: wire.StatusOK}
 
 	case wire.OpGet:
-		//lint:allow hotpath, nonblock — backend dispatch: every concrete backend point op is itself a //pmwcas:hotpath root (backend.go, sharded.go), so the proof continues on the other side of the interface (§6.3)
 		v, err := b.Get(req.Key)
 		if err != nil {
 			return errResponse(err)
@@ -392,14 +391,12 @@ func (s *Server) handlePoint(b backend, req *wire.Request, sc *respScratch) wire
 		return wire.Response{Status: wire.StatusOK, Entries: sc.one[:]}
 
 	case wire.OpPut:
-		//lint:allow hotpath, nonblock — backend dispatch: every concrete backend point op is itself a //pmwcas:hotpath root (backend.go, sharded.go), so the proof continues on the other side of the interface (§6.3)
 		if err := b.Put(req.Key, req.Value); err != nil {
 			return errResponse(err)
 		}
 		return wire.Response{Status: wire.StatusOK}
 
 	case wire.OpDelete:
-		//lint:allow hotpath, nonblock — backend dispatch: every concrete backend point op is itself a //pmwcas:hotpath root (backend.go, sharded.go), so the proof continues on the other side of the interface (§6.3)
 		if err := b.Delete(req.Key); err != nil {
 			return errResponse(err)
 		}
@@ -410,7 +407,7 @@ func (s *Server) handlePoint(b backend, req *wire.Request, sc *respScratch) wire
 
 // handleSlow serves the variable-output ops: scans and the admin
 // surface.
-func (s *Server) handleSlow(b backend, req *wire.Request) wire.Response {
+func (s *Server) handleSlow(b *kvConn, req *wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpScan:
 		limit := int(req.Limit)
@@ -461,10 +458,12 @@ func (s *Server) handleSlow(b backend, req *wire.Request) wire.Response {
 	return wire.Response{Status: wire.StatusBadRequest, Msg: fmt.Sprintf("unhandled op %s", req.Op)}
 }
 
-// errResponse maps backend errors onto wire statuses.
+// errResponse maps index errors onto wire statuses.
 func errResponse(err error) wire.Response {
 	switch {
-	case errors.Is(err, errNotFound):
+	case errors.Is(err, pmwcas.ErrBlobNotFound),
+		errors.Is(err, pmwcas.ErrBwTreeNotFound),
+		errors.Is(err, pmwcas.ErrHashNotFound):
 		return wire.Response{Status: wire.StatusNotFound, Msg: "key not found"}
 	case errors.Is(err, keycodec.ErrTooLong),
 		errors.Is(err, errValueTooLarge),

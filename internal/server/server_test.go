@@ -184,6 +184,31 @@ func TestBadRequests(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Every index at every shard count rejects an over-long key the same
+	// way on every point op: the key is encoded before any index sees it.
+	for _, index := range []Index{IndexSkipList, IndexBwTree, IndexHash} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%dshards", index, shards), func(t *testing.T) {
+				var addr string
+				if shards == 1 {
+					_, _, addr, _ = startServer(t, index, 2)
+				} else {
+					_, _, addr = startShardedServer(t, index, 2)
+				}
+				c := dial(t, addr)
+				for _, op := range []wire.Op{wire.OpGet, wire.OpPut, wire.OpDelete} {
+					resp, err := c.Do(&wire.Request{Op: op, Key: []byte("way too long a key"), Value: []byte("v")})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp.Status != wire.StatusBadRequest {
+						t.Fatalf("%s with an 18-byte key: %s, want BAD_REQUEST", op, resp.Status)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestBwTreeValueLimit(t *testing.T) {

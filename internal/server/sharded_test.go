@@ -211,3 +211,47 @@ func TestSuccessorKey(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeScanRefillCap: a merged SCAN pulls no more from any shard
+// than it can still emit, so a limit-1 scan over four shards buffers at
+// most one entry per shard and still returns the global minimum.
+func TestMergeScanRefillCap(t *testing.T) {
+	for _, index := range []Index{IndexSkipList, IndexBwTree} {
+		t.Run(string(index), func(t *testing.T) {
+			store, err := pmwcas.Create(pmwcas.Config{
+				Size: 16 << 20, Shards: 4, Descriptors: 512, MaxHandles: 32,
+				BwTreeMappingSlots: 1 << 12, HashDirSlots: 1 << 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns, err := newKVConns(store, index, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := conns[0]
+			const n = 200
+			for i := 0; i < n; i++ {
+				if err := c.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []string
+			err = c.Scan([]byte("k"), nil, 1, func(k, v []byte) bool {
+				got = append(got, string(k))
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] != "k0000" {
+				t.Fatalf("limit-1 Scan = %q, want [k0000]", got)
+			}
+			for si, cur := range c.cursors {
+				if len(cur.buf) > 1 {
+					t.Errorf("shard %d buffered %d entries for a limit-1 scan", si, len(cur.buf))
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package pmwcas
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -137,6 +138,40 @@ func TestShardForKey(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		if got := one.ShardForKey(k); got != 0 {
 			t.Fatalf("single-shard ShardForKey(%d) = %d, want 0", k, got)
+		}
+	}
+}
+
+// TestStoreIndexAccessorsNeedOneShard: on a multi-shard store the
+// Store-level index accessors refuse instead of silently opening shard
+// 0, and the error points at Shard(i); on a one-shard store they open
+// the sole shard's index as before.
+func TestStoreIndexAccessorsNeedOneShard(t *testing.T) {
+	open := func(st *Store) map[string]error {
+		_, sl := st.SkipList()
+		_, q := st.Queue()
+		_, kv := st.BlobKV()
+		_, bw := st.BwTree(BwTreeOptions{})
+		_, ht := st.HashTable(HashTableOptions{})
+		return map[string]error{"SkipList": sl, "Queue": q, "BlobKV": kv, "BwTree": bw, "HashTable": ht}
+	}
+	multi, err := Create(testShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range open(multi) {
+		if !errors.Is(err, errMultiShard) || !strings.Contains(err.Error(), "Store."+name) ||
+			!strings.Contains(err.Error(), "Shard(i)") {
+			t.Errorf("2-shard Store.%s: err = %v, want a pointer to Shard(i)", name, err)
+		}
+	}
+	one, err := Create(testShardConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range open(one) {
+		if err != nil {
+			t.Errorf("1-shard Store.%s: %v", name, err)
 		}
 	}
 }

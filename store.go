@@ -322,10 +322,26 @@ func (s *Store) ShardForKey(key uint64) int {
 
 // Shard is one shard's view of the store: the same index and handle
 // accessors as the Store itself, scoped to that shard's pool, allocator,
-// and regions. Store-level accessors are shorthand for Shard(0).
+// and regions. The Store-level index accessors (SkipList, Queue,
+// BlobKV, BwTree, HashTable) are shorthand for Shard(0) on a one-shard
+// store and an error on any other; the remaining Store-level accessors
+// address shard 0.
 type Shard struct {
 	s *Store
 	i int
+}
+
+// errMultiShard is what the Store-level index accessors return on a
+// multi-shard store, where "the" index does not exist.
+var errMultiShard = errors.New("the store has several shards; open the index per shard with Shard(i)")
+
+// only returns the sole shard's view, or an error naming the accessor
+// that was called on a multi-shard store.
+func (s *Store) only(accessor string) (*Shard, error) {
+	if len(s.shards) > 1 {
+		return nil, fmt.Errorf("pmwcas: Store.%s: %w", accessor, errMultiShard)
+	}
+	return s.Shard(0), nil
 }
 
 // Shard returns shard i's view.
@@ -524,8 +540,14 @@ func (s *Store) MemoryInUse() (blocks, bytes uint64) {
 	return blocks, bytes
 }
 
-// SkipList opens shard 0's skip list; see Shard.SkipList.
-func (s *Store) SkipList() (*SkipList, error) { return s.Shard(0).SkipList() }
+// SkipList opens a one-shard store's skip list; see Shard.SkipList.
+func (s *Store) SkipList() (*SkipList, error) {
+	sh, err := s.only("SkipList")
+	if err != nil {
+		return nil, err
+	}
+	return sh.SkipList()
+}
 
 // SkipList opens this shard's skip list, creating it on first use. The
 // list is a singleton per shard (anchored at fixed roots).
@@ -562,8 +584,15 @@ type BwTreeOptions struct {
 	MergeBelow int
 }
 
-// Queue opens shard 0's persistent FIFO queue; see Shard.Queue.
-func (s *Store) Queue() (*Queue, error) { return s.Shard(0).Queue() }
+// Queue opens a one-shard store's persistent FIFO queue; see
+// Shard.Queue.
+func (s *Store) Queue() (*Queue, error) {
+	sh, err := s.only("Queue")
+	if err != nil {
+		return nil, err
+	}
+	return sh.Queue()
+}
 
 // Queue opens this shard's persistent lock-free FIFO queue, creating it
 // on first use. Singleton per shard (fixed anchor words).
@@ -576,8 +605,14 @@ func (sh *Shard) Queue() (*Queue, error) {
 	})
 }
 
-// BlobKV opens shard 0's blob KV layer; see Shard.BlobKV.
-func (s *Store) BlobKV() (*BlobKV, error) { return s.Shard(0).BlobKV() }
+// BlobKV opens a one-shard store's blob KV layer; see Shard.BlobKV.
+func (s *Store) BlobKV() (*BlobKV, error) {
+	sh, err := s.only("BlobKV")
+	if err != nil {
+		return nil, err
+	}
+	return sh.BlobKV()
+}
 
 // BlobKV opens this shard's byte-string key-value layer over its skip
 // list: short string keys, arbitrary-length values in out-of-line
@@ -603,8 +638,14 @@ func (sh *Shard) BlobKV() (*BlobKV, error) {
 	})
 }
 
-// BwTree opens shard 0's Bw-tree; see Shard.BwTree.
-func (s *Store) BwTree(opts BwTreeOptions) (*BwTree, error) { return s.Shard(0).BwTree(opts) }
+// BwTree opens a one-shard store's Bw-tree; see Shard.BwTree.
+func (s *Store) BwTree(opts BwTreeOptions) (*BwTree, error) {
+	sh, err := s.only("BwTree")
+	if err != nil {
+		return nil, err
+	}
+	return sh.BwTree(opts)
+}
 
 // BwTree opens this shard's Bw-tree, creating it on first use. The tree
 // is a singleton per shard (fixed mapping table region).
@@ -631,9 +672,13 @@ type HashTableOptions struct {
 	SlotsPerBucket int
 }
 
-// HashTable opens shard 0's hash table; see Shard.HashTable.
+// HashTable opens a one-shard store's hash table; see Shard.HashTable.
 func (s *Store) HashTable(opts HashTableOptions) (*HashTable, error) {
-	return s.Shard(0).HashTable(opts)
+	sh, err := s.only("HashTable")
+	if err != nil {
+		return nil, err
+	}
+	return sh.HashTable(opts)
 }
 
 // HashTable opens this shard's persistent lock-free hash table — the
