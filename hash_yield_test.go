@@ -55,9 +55,18 @@ func TestHashDirectoryReclaimRace(t *testing.T) {
 				key := uint64(rng.Intn(4096)) + 1
 				switch rng.Intn(6) {
 				case 0, 1, 2, 3:
-					err := h.Insert(key, key*3)
-					if errors.Is(err, hashtable.ErrKeyExists) {
+					// Upsert: a concurrent Delete between a lost Insert and
+					// the Update makes Update miss; retry until one wins.
+					var err error
+					for {
+						err = h.Insert(key, key*3)
+						if !errors.Is(err, hashtable.ErrKeyExists) {
+							break
+						}
 						err = h.Update(key, key*5)
+						if !errors.Is(err, hashtable.ErrNotFound) {
+							break
+						}
 					}
 					if err != nil {
 						errc <- err

@@ -392,7 +392,9 @@ func (h *Handle) Guard() *epoch.Guard { return h.guard }
 func (h *Handle) Pool() *Pool { return h.pool }
 
 // takeIndex acquires a free descriptor index, refilling the private cache
-// from the shared list when needed. Returns -1 if the pool is exhausted.
+// from the shared list when needed. A refill takes at most half of the
+// shared list (rounded up), so one handle cannot hoard a small pool and
+// starve the others. Returns -1 if the pool is exhausted.
 func (h *Handle) takeIndex() int {
 	if len(h.cache) == 0 {
 		p := h.pool
@@ -400,8 +402,8 @@ func (h *Handle) takeIndex() int {
 		p.freeMu.Lock()
 		n := len(p.freeList)
 		take := handleCacheSize
-		if take > n {
-			take = n
+		if half := (n + 1) / 2; take > half {
+			take = half
 		}
 		h.cache = append(h.cache, p.freeList[n-take:]...)
 		p.freeList = p.freeList[:n-take]

@@ -61,7 +61,8 @@ type MicroResult struct {
 // WordsPerOp distinct random words from the shared array, reads them, and
 // attempts to advance each by one in a single multi-word CAS. Failed
 // attempts are counted, not retried — the success rate under contention
-// is itself a measurement.
+// is itself a measurement. An exhausted descriptor pool is not a failed
+// attempt: the thread reclaims and allocates again.
 func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	if cfg.Threads <= 0 || cfg.OpsPer <= 0 {
 		return MicroResult{}, fmt.Errorf("harness: bad micro config %+v", cfg)
@@ -119,9 +120,11 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				for i := 0; i < cfg.OpsPer; i++ {
 					pickDistinct(rng, cfg.ArrayWords, idx)
 					d, err := h.AllocateDescriptor(0)
-					if err != nil {
+					for err != nil {
+						// Exhaustion is reclamation lag, not a CAS
+						// conflict: reclaim and retry the allocation.
 						pool.ReclaimPause()
-						continue
+						d, err = h.AllocateDescriptor(0)
 					}
 					okBuild := true
 					for _, w := range idx {
