@@ -402,8 +402,8 @@ func shardStoreFor(n int, flush time.Duration, yieldEvery int) *pmwcas.Store {
 }
 
 // shardedHashFactory routes keys across per-shard hash tables with
-// Store.ShardForKey — the same placement the server's sharded backend
-// uses, measured without the network in the way.
+// Store.ShardForKey — the same placement the server's kvConn uses,
+// measured without the network in the way.
 type shardedHashFactory struct {
 	store *pmwcas.Store
 	tabs  []*pmwcas.HashTable

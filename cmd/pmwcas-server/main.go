@@ -61,10 +61,10 @@ func main() {
 		Size:        *sizeMiB << 20,
 		Shards:      *shards,
 		Descriptors: *descriptors,
-		// The skip-list backend spends 4 store handles per connection
-		// (blobkv handle budgeting; on a sharded store each connection
-		// holds a sub-backend on every shard); the slack covers the
-		// open/recovery handles each layer takes at startup.
+		// The skip-list index spends 4 store handles per connection
+		// (blobkv handle budgeting; each connection's kvConn holds one
+		// index handle per shard); the slack covers the open/recovery
+		// handles each layer takes at startup.
 		MaxHandles: 4*(*maxConns) + 8,
 	}
 	switch *mode {

@@ -57,12 +57,22 @@ type MicroResult struct {
 	HTMStats    htm.Stats
 }
 
+// allocRetryWindow bounds RunMicro's reclaim-and-allocate loop on an
+// exhausted pool. Descriptors another thread retired come back once that
+// thread leaves its epoch guard, which a descheduled thread may not do
+// for a scheduler slice or more; the bound keeps a pool whose free
+// descriptors sit in finished threads' caches from hanging a cell.
+const allocRetryWindow = 100 * time.Millisecond
+
 // RunMicro executes one microbenchmark cell: each thread repeatedly picks
 // WordsPerOp distinct random words from the shared array, reads them, and
 // attempts to advance each by one in a single multi-word CAS. Failed
 // attempts are counted, not retried — the success rate under contention
 // is itself a measurement. An exhausted descriptor pool is not a failed
-// attempt: the thread reclaims and allocates again.
+// attempt: the thread reclaims and allocates again, and only counts the
+// attempt failed if nothing is freed within allocRetryWindow. Threads
+// start their attempts together, so the first-spawned thread does not
+// run its share before the others contend.
 func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	if cfg.Threads <= 0 || cfg.OpsPer <= 0 {
 		return MicroResult{}, fmt.Errorf("harness: bad micro config %+v", cfg)
@@ -110,6 +120,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 			return MicroResult{}, err
 		}
 		start := time.Now()
+		gate := make(chan struct{})
 		for t := 0; t < cfg.Threads; t++ {
 			wg.Add(1)
 			go func(t int) {
@@ -117,14 +128,19 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				h := pool.NewHandle()
 				rng := rand.New(rand.NewSource(int64(t)*6151 + 3))
 				idx := make([]int, cfg.WordsPerOp)
+				<-gate
 				for i := 0; i < cfg.OpsPer; i++ {
 					pickDistinct(rng, cfg.ArrayWords, idx)
 					d, err := h.AllocateDescriptor(0)
-					for err != nil {
-						// Exhaustion is reclamation lag, not a CAS
-						// conflict: reclaim and retry the allocation.
-						pool.ReclaimPause()
-						d, err = h.AllocateDescriptor(0)
+					if err != nil {
+						deadline := time.Now().Add(allocRetryWindow)
+						for err != nil && time.Now().Before(deadline) {
+							pool.ReclaimPause()
+							d, err = h.AllocateDescriptor(0)
+						}
+					}
+					if err != nil {
+						continue
 					}
 					okBuild := true
 					for _, w := range idx {
@@ -145,6 +161,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				}
 			}(t)
 		}
+		close(gate)
 		wg.Wait()
 		res.Elapsed = time.Since(start)
 		s := pool.Stats()
@@ -153,6 +170,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	case VariantHTM:
 		tm := htm.New(dev, cfg.HTM)
 		start := time.Now()
+		gate := make(chan struct{})
 		for t := 0; t < cfg.Threads; t++ {
 			wg.Add(1)
 			go func(t int) {
@@ -163,6 +181,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				addrs := make([]nvram.Offset, cfg.WordsPerOp)
 				olds := make([]uint64, cfg.WordsPerOp)
 				news := make([]uint64, cfg.WordsPerOp)
+				<-gate
 				for i := 0; i < cfg.OpsPer; i++ {
 					pickDistinct(rng, cfg.ArrayWords, idx)
 					for j, w := range idx {
@@ -176,6 +195,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				}
 			}(t)
 		}
+		close(gate)
 		wg.Wait()
 		res.Elapsed = time.Since(start)
 		res.HTMStats = tm.Stats()

@@ -51,8 +51,6 @@ type kvConn struct {
 	// request at a time and encodes the response before the next read,
 	// so the returned value may alias it.
 	buf []byte
-	// cursors is a multi-shard SCAN's merge state, one per shard.
-	cursors []shardCursor
 }
 
 // newKVConns mints n per-connection handles for the chosen index,
@@ -62,7 +60,7 @@ func newKVConns(store *pmwcas.Store, index Index, n int) ([]*kvConn, error) {
 	shards := store.ShardCount()
 	out := make([]*kvConn, n)
 	for i := range out {
-		out[i] = &kvConn{store: store, index: index, cursors: make([]shardCursor, shards)}
+		out[i] = &kvConn{store: store, index: index}
 	}
 	for si := 0; si < shards; si++ {
 		sh := store.Shard(si)
@@ -274,26 +272,26 @@ const scanBatch = 32
 // shardCursor is one shard's position in a merged scan: a buffered
 // batch of pending entries and the key to resume from.
 type shardCursor struct {
-	buf  []kvPair
-	next []byte // resume key for the following batch
-	done bool   // the shard has no entries past buf
+	shard int
+	buf   []kvPair
+	next  []byte // resume key for the following batch
+	done  bool   // the shard has no entries past buf
 }
 
 type kvPair struct{ k, v []byte }
 
-// refill pulls shard si's next batch if its cursor's buffer is empty:
-// at most want entries (what the scan can still emit), capped at
-// scanBatch. The shard scan's callback may reuse its argument slices,
-// so entries are copied out.
-func (c *kvConn) refill(si int, end []byte, want int) error {
-	cur := &c.cursors[si]
+// refill pulls cur's next batch if its buffer is empty: at most want
+// entries (what the scan can still emit), capped at scanBatch. The shard
+// scan's callback may reuse its argument slices, so entries are copied
+// out.
+func (c *kvConn) refill(cur *shardCursor, end []byte, want int) error {
 	if cur.done || len(cur.buf) > 0 {
 		return nil
 	}
 	batch := min(scanBatch, want)
 	got := 0
 	var last []byte
-	err := c.scanShard(si, cur.next, end, batch, func(k, v []byte) bool {
+	err := c.scanShard(cur.shard, cur.next, end, batch, func(k, v []byte) bool {
 		kk := append([]byte(nil), k...)
 		cur.buf = append(cur.buf, kvPair{kk, append([]byte(nil), v...)})
 		last = kk
@@ -324,8 +322,9 @@ func (c *kvConn) refill(si int, end []byte, want int) error {
 // exactly as consistent as a single-shard scan under concurrent writers:
 // an ordered snapshot-free walk.
 func (c *kvConn) mergeScan(from, end []byte, limit int, fn func(key, val []byte) bool) error {
-	for i := range c.cursors {
-		c.cursors[i] = shardCursor{next: append([]byte(nil), from...)}
+	cursors := make([]shardCursor, c.store.ShardCount())
+	for i := range cursors {
+		cursors[i] = shardCursor{shard: i, next: append([]byte(nil), from...)}
 	}
 	emitted := 0
 	for emitted < limit {
@@ -333,22 +332,22 @@ func (c *kvConn) mergeScan(from, end []byte, limit int, fn func(key, val []byte)
 		// unique across shards (each lives only on its home shard), so ties
 		// are impossible and the pick order is total.
 		min := -1
-		for i := range c.cursors {
-			if err := c.refill(i, end, limit-emitted); err != nil {
+		for i := range cursors {
+			if err := c.refill(&cursors[i], end, limit-emitted); err != nil {
 				return err
 			}
-			if len(c.cursors[i].buf) == 0 {
+			if len(cursors[i].buf) == 0 {
 				continue
 			}
-			if min < 0 || bytes.Compare(c.cursors[i].buf[0].k, c.cursors[min].buf[0].k) < 0 {
+			if min < 0 || bytes.Compare(cursors[i].buf[0].k, cursors[min].buf[0].k) < 0 {
 				min = i
 			}
 		}
 		if min < 0 {
 			return nil // every shard exhausted
 		}
-		head := c.cursors[min].buf[0]
-		c.cursors[min].buf = c.cursors[min].buf[1:]
+		head := cursors[min].buf[0]
+		cursors[min].buf = cursors[min].buf[1:]
 		emitted++
 		if !fn(head.k, head.v) {
 			return nil

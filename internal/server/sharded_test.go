@@ -247,8 +247,14 @@ func TestMergeScanRefillCap(t *testing.T) {
 			if len(got) != 1 || got[0] != "k0000" {
 				t.Fatalf("limit-1 Scan = %q, want [k0000]", got)
 			}
-			for si, cur := range c.cursors {
-				if len(cur.buf) > 1 {
+			// The first refill of a limit-1 scan asks each shard for one
+			// entry; every shard holds dozens of keys.
+			for si := 0; si < store.ShardCount(); si++ {
+				cur := shardCursor{shard: si, next: []byte("k")}
+				if err := c.refill(&cur, nil, 1); err != nil {
+					t.Fatal(err)
+				}
+				if len(cur.buf) != 1 {
 					t.Errorf("shard %d buffered %d entries for a limit-1 scan", si, len(cur.buf))
 				}
 			}
