@@ -1,13 +1,15 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation in one run (experiment index E1-E9 in DESIGN.md, plus E11,
-// the traversal flush-elision delta of EXPERIMENTS.md), printing
-// paper-style tables. Absolute numbers reflect the simulated NVRAM
-// substrate; the shapes — who wins, by what factor, where contention and
-// persistence costs bite — are the reproduction targets.
+// the traversal flush-elision delta of EXPERIMENTS.md, and the hash
+// table's volatile-vs-persistent table), printing paper-style tables.
+// Absolute numbers reflect the simulated NVRAM substrate; the shapes —
+// who wins, by what factor, where contention and persistence costs
+// bite — are the reproduction targets.
 //
 // Usage:
 //
-//	experiments [-quick] [-threads n] [-flushns n]
+//	experiments [-quick] [-threads n] [-flushns n] [-yield n] [-reps n]
+//	            [-ablations] [-only name]
 package main
 
 import (
@@ -15,7 +17,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"pmwcas"
@@ -23,7 +27,6 @@ import (
 	"pmwcas/internal/harness"
 	"pmwcas/internal/htm"
 	"pmwcas/internal/nvram"
-	"pmwcas/internal/skiplist"
 )
 
 type scale struct {
@@ -35,6 +38,52 @@ type scale struct {
 	recPools []int
 }
 
+// experiment is one entry of the dispatch table: a run function and
+// the -only names that select it.
+type experiment struct {
+	names []string
+	run   func(threads int, sc scale, flush time.Duration)
+}
+
+// experiments is the dispatch table, in run order. -only is validated
+// against it, so there is no second list of experiment names.
+var experiments = []experiment{
+	{[]string{"e1", "e2"}, e1e2},
+	{[]string{"e3"}, e3},
+	{[]string{"e4"}, e4},
+	{[]string{"e5"}, e5},
+	{[]string{"e6"}, e6},
+	{[]string{"hash"}, hashVariants},
+	{[]string{"e7"}, func(_ int, sc scale, _ time.Duration) { e7(sc) }},
+	{[]string{"e8"}, func(_ int, sc scale, flush time.Duration) { e8(sc, flush) }},
+	{[]string{"e9"}, func(int, scale, time.Duration) { e9() }},
+	{[]string{"e11"}, e11},
+}
+
+// experimentNames lists every name -only accepts, in run order.
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.names...)
+	}
+	return names
+}
+
+// selectExperiments returns the experiments an -only value selects:
+// all of them for the empty string, otherwise the one answering to the
+// name.
+func selectExperiments(only string) ([]experiment, error) {
+	if only == "" {
+		return experiments, nil
+	}
+	for _, e := range experiments {
+		if slices.Contains(e.names, only) {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", only, strings.Join(experimentNames(), ", "))
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced parameters (seconds instead of minutes)")
 	threads := flag.Int("threads", 4, "worker goroutines")
@@ -42,8 +91,13 @@ func main() {
 	yield := flag.Int("yield", 4, "interleave logical threads every N device accesses (0 = off)")
 	runAblations := flag.Bool("ablations", false, "also run the design-knob ablation sweeps (A1-A4)")
 	repsFlag := flag.Int("reps", 3, "repetitions per index-workload cell (median reported)")
-	only := flag.String("only", "", "run a single experiment (e1..e9, e11)")
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames(), ", ")+" (e1 and e2 run together)")
 	flag.Parse()
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	yieldEvery = *yield
 	reps = *repsFlag
 	if *quick {
@@ -62,20 +116,9 @@ func main() {
 	}
 	flush := time.Duration(*flushNS) * time.Nanosecond
 
-	run := func(name string, fn func()) {
-		if *only == "" || *only == name {
-			fn()
-		}
+	for _, e := range selected {
+		e.run(*threads, sc, flush)
 	}
-	run("e1", func() { e1e2(*threads, sc, flush) })
-	run("e3", func() { e3(*threads, sc, flush) })
-	run("e4", func() { e4(*threads, sc, flush) })
-	run("e5", func() { e5(*threads, sc, flush) })
-	run("e6", func() { e6(*threads, sc, flush) })
-	run("e7", func() { e7(sc) })
-	run("e8", func() { e8(sc, flush) })
-	run("e9", func() { e9() })
-	run("e11", func() { e11(*threads, sc, flush) })
 	if *runAblations {
 		ablations(*threads, sc)
 	}
@@ -99,7 +142,7 @@ var reps int
 
 // runMedian runs the workload reps times on the same (preloaded) store
 // and returns the run with median throughput.
-func runMedian(f harness.IndexFactory, w harness.Workload, flushes func() uint64) (harness.Result, error) {
+func runMedian(s *pmwcas.Store, f harness.IndexFactory, w harness.Workload) (harness.Result, error) {
 	n := reps
 	if n < 1 {
 		n = 1
@@ -110,7 +153,7 @@ func runMedian(f harness.IndexFactory, w harness.Workload, flushes func() uint64
 		if i > 0 {
 			ww.Preload = 0 // already loaded
 		}
-		r, err := harness.Run(f, ww, flushes)
+		r, err := harness.Run(f, ww, func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			return harness.Result{}, err
 		}
@@ -201,8 +244,51 @@ func newStore(mode pmwcas.Mode, flush time.Duration) *pmwcas.Store {
 	return s
 }
 
-// E5: skip list variants across mixes.
-func e5(threads int, sc scale, flush time.Duration) {
+// variant is one row of an index table: the store mode it runs under
+// and how to open the index on that store.
+type variant struct {
+	label string
+	mode  pmwcas.Mode
+	open  func(*pmwcas.Store) (harness.IndexFactory, error)
+}
+
+// start opens the variant's index on a fresh store.
+func (v variant) start(flush time.Duration) (*pmwcas.Store, harness.IndexFactory) {
+	s := newStore(v.mode, flush)
+	f, err := v.open(s)
+	if err != nil {
+		fail(err)
+	}
+	return s, f
+}
+
+func casList(s *pmwcas.Store) (harness.IndexFactory, error) {
+	l, err := s.CASSkipList()
+	return &harness.CASListFactory{List: l}, err
+}
+
+func skipList(s *pmwcas.Store) (harness.IndexFactory, error) {
+	l, err := s.SkipList()
+	return &harness.SkipListFactory{List: l}, err
+}
+
+func bwTree(smo pmwcas.SMOMode) func(*pmwcas.Store) (harness.IndexFactory, error) {
+	return func(s *pmwcas.Store) (harness.IndexFactory, error) {
+		t, err := s.BwTree(pmwcas.BwTreeOptions{SMO: smo})
+		return &harness.BwTreeFactory{Tree: t}, err
+	}
+}
+
+func hashTable(s *pmwcas.Store) (harness.IndexFactory, error) {
+	t, err := s.HashTable(pmwcas.HashTableOptions{})
+	return &harness.HashTableFactory{Table: t}, err
+}
+
+// variantTables prints one table per mix (read-heavy, then
+// update-heavy). Each variant runs on a fresh store; the first is the
+// baseline, named base in the header, that the overhead column charges
+// the others against.
+func variantTables(title, base string, threads int, sc scale, flush time.Duration, variants []variant) {
 	for _, mix := range []struct {
 		label string
 		mix   harness.Mix
@@ -211,86 +297,54 @@ func e5(threads int, sc scale, flush time.Duration) {
 			Threads: threads, OpsPer: sc.indexOps, KeySpace: sc.keySpace,
 			Dist: harness.Uniform, Mix: mix.mix, Preload: sc.preload,
 		}
-		tbl := harness.NewTable("E5: skip list — "+mix.label,
-			"variant", "ops/s", "flushes/op", "overhead vs cas")
-		var base float64
-
-		s := newStore(pmwcas.Volatile, flush)
-		cl, err := s.CASSkipList()
-		if err != nil {
-			fail(err)
-		}
-		r, err := runMedian(&harness.CASListFactory{List: cl, Label: "cas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes })
-		if err != nil {
-			fail(err)
-		}
-		base = r.OpsPerSec
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer, "-")
-
-		for _, variant := range []struct {
-			label string
-			mode  pmwcas.Mode
-		}{{"mwcas (volatile)", pmwcas.Volatile}, {"pmwcas (persistent)", pmwcas.Persistent}} {
-			s := newStore(variant.mode, flush)
-			l, err := s.SkipList()
+		tbl := harness.NewTable(title+" — "+mix.label,
+			"variant", "ops/s", "flushes/op", "overhead vs "+base)
+		var baseOps float64
+		for i, v := range variants {
+			s, f := v.start(flush)
+			r, err := runMedian(s, f, w)
 			if err != nil {
 				fail(err)
 			}
-			r, err := runMedian(&harness.SkipListFactory{List: l, Label: variant.label}, w,
-				func() uint64 { return s.Device().Stats().Flushes })
-			if err != nil {
-				fail(err)
+			overhead := "-"
+			if i == 0 {
+				baseOps = r.OpsPerSec
+			} else {
+				overhead = fmt.Sprintf("%.1f%%", harness.OverheadPct(baseOps, r.OpsPerSec))
 			}
-			tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-				fmt.Sprintf("%.1f%%", harness.OverheadPct(base, r.OpsPerSec)))
+			tbl.Add(v.label, harness.Throughput(r.OpsPerSec), r.FlushesPer, overhead)
 		}
 		tbl.Print(os.Stdout)
 	}
 }
 
+// E5: skip list variants across mixes.
+func e5(threads int, sc scale, flush time.Duration) {
+	variantTables("E5: skip list", "cas", threads, sc, flush, []variant{
+		{"cas (volatile)", pmwcas.Volatile, casList},
+		{"mwcas (volatile)", pmwcas.Volatile, skipList},
+		{"pmwcas (persistent)", pmwcas.Persistent, skipList},
+	})
+}
+
 // E6: Bw-tree variants across mixes.
 func e6(threads int, sc scale, flush time.Duration) {
-	for _, mix := range []struct {
-		label string
-		mix   harness.Mix
-	}{{"read-heavy 90/10", harness.ReadHeavy}, {"update-heavy 50/50", harness.UpdateHeavy}} {
-		w := harness.Workload{
-			Threads: threads, OpsPer: sc.indexOps, KeySpace: sc.keySpace,
-			Dist: harness.Uniform, Mix: mix.mix, Preload: sc.preload,
-		}
-		tbl := harness.NewTable("E6: Bw-tree — "+mix.label,
-			"variant", "ops/s", "flushes/op", "overhead vs cas")
-		var base float64
-		for i, variant := range []struct {
-			label string
-			mode  pmwcas.Mode
-			smo   pmwcas.SMOMode
-		}{
-			{"cas (volatile)", pmwcas.Volatile, pmwcas.SMOSingleCAS},
-			{"mwcas (volatile)", pmwcas.Volatile, pmwcas.SMOPMwCAS},
-			{"pmwcas (persistent)", pmwcas.Persistent, pmwcas.SMOPMwCAS},
-		} {
-			s := newStore(variant.mode, flush)
-			t, err := s.BwTree(pmwcas.BwTreeOptions{SMO: variant.smo})
-			if err != nil {
-				fail(err)
-			}
-			r, err := runMedian(&harness.BwTreeFactory{Tree: t, Label: variant.label}, w,
-				func() uint64 { return s.Device().Stats().Flushes })
-			if err != nil {
-				fail(err)
-			}
-			if i == 0 {
-				base = r.OpsPerSec
-				tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer, "-")
-			} else {
-				tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-					fmt.Sprintf("%.1f%%", harness.OverheadPct(base, r.OpsPerSec)))
-			}
-		}
-		tbl.Print(os.Stdout)
-	}
+	variantTables("E6: Bw-tree", "cas", threads, sc, flush, []variant{
+		{"cas (volatile)", pmwcas.Volatile, bwTree(pmwcas.SMOSingleCAS)},
+		{"mwcas (volatile)", pmwcas.Volatile, bwTree(pmwcas.SMOPMwCAS)},
+		{"pmwcas (persistent)", pmwcas.Persistent, bwTree(pmwcas.SMOPMwCAS)},
+	})
+}
+
+// Hash table variants across mixes. The hash table has no
+// single-word-CAS baseline (every mutation is inherently multi-word), so
+// the volatile MwCAS run is the reference the persistence overhead is
+// charged against.
+func hashVariants(threads int, sc scale, flush time.Duration) {
+	variantTables("Hash table", "volatile", threads, sc, flush, []variant{
+		{"mwcas (volatile)", pmwcas.Volatile, hashTable},
+		{"pmwcas (persistent)", pmwcas.Persistent, hashTable},
+	})
 }
 
 // E11: traversal flush elision (ROADMAP item 3). Runs the persistent
@@ -323,30 +377,18 @@ func e11(threads int, sc scale, flush time.Duration) {
 		}
 		tbl := harness.NewTable("E11: traversal flush elision — "+cell.label,
 			"index", "elision", "ops/s", "flushes/op", "flush reduction")
-		for _, idx := range []string{"skip list", "bw-tree"} {
+		for _, idx := range []variant{
+			{"skip list", pmwcas.Persistent, skipList},
+			{"bw-tree", pmwcas.Persistent, bwTree(pmwcas.SMOPMwCAS)},
+		} {
 			var base float64 // flushes/op with elision off
 			for _, el := range []struct {
 				label string
 				on    bool
 			}{{"off", false}, {"on", true}} {
 				core.SetFlushElision(el.on)
-				s := newStore(pmwcas.Persistent, flush)
-				var f harness.IndexFactory
-				switch idx {
-				case "skip list":
-					l, err := s.SkipList()
-					if err != nil {
-						fail(err)
-					}
-					f = &harness.SkipListFactory{List: l, Label: idx}
-				case "bw-tree":
-					t, err := s.BwTree(pmwcas.BwTreeOptions{SMO: pmwcas.SMOPMwCAS})
-					if err != nil {
-						fail(err)
-					}
-					f = &harness.BwTreeFactory{Tree: t, Label: idx}
-				}
-				r, err := runMedian(f, w, func() uint64 { return s.Device().Stats().Flushes })
+				s, f := idx.start(flush)
+				r, err := runMedian(s, f, w)
 				if err != nil {
 					fail(err)
 				}
@@ -356,17 +398,18 @@ func e11(threads int, sc scale, flush time.Duration) {
 				} else {
 					base = r.FlushesPer
 				}
-				tbl.Add(idx, el.label, harness.Throughput(r.OpsPerSec), r.FlushesPer, red)
+				tbl.Add(idx.label, el.label, harness.Throughput(r.OpsPerSec), r.FlushesPer, red)
 			}
 		}
 		tbl.Print(os.Stdout)
 	}
 }
 
-// E7: recovery time.
+// E7: recovery time. This is also the recovery correctness gate: a torn
+// row fails the command.
 func e7(sc scale) {
 	tbl := harness.NewTable("E7: recovery time vs descriptor pool and in-flight ops",
-		"pool", "in-flight", "recovery", "all-or-nothing")
+		"pool", "in-flight", "recovery", "per descriptor", "all-or-nothing")
 	for _, pool := range sc.recPools {
 		for _, inflight := range []int{0, pool / 4, pool} {
 			r, err := harness.RunRecovery(harness.RecoveryBench{PoolSize: pool, InFlight: inflight})
@@ -378,7 +421,7 @@ func e7(sc scale) {
 				verdict = "TORN"
 				badRuns++
 			}
-			tbl.Add(pool, inflight, r.Elapsed, verdict)
+			tbl.Add(pool, inflight, r.Elapsed, r.PerDesc, verdict)
 		}
 	}
 	tbl.Print(os.Stdout)
@@ -389,53 +432,28 @@ func e8(sc scale, flush time.Duration) {
 	const scanLen = 100
 	tbl := harness.NewTable("E8: reverse range scans (100-key ranges)",
 		"variant", "scans/s")
-
-	preload := func(ins func(k, v uint64) error) {
-		stride := sc.keySpace / uint64(sc.preload)
-		if stride == 0 {
-			stride = 1
-		}
+	stride := max(sc.keySpace/uint64(sc.preload), 1)
+	for _, v := range []variant{
+		{"cas + prev fix-up", pmwcas.Volatile, casList},
+		{"pmwcas doubly-linked", pmwcas.Persistent, skipList},
+	} {
+		_, f := v.start(flush)
+		ops := f.NewOps(1)
 		for i := 0; i < sc.preload; i++ {
-			if err := ins((uint64(i)*stride)%sc.keySpace+1, uint64(i)); err != nil {
+			if err := ops.Insert((uint64(i)*stride)%sc.keySpace+1, uint64(i)); err != nil {
 				fail(err)
 			}
 		}
-	}
-	{
-		s := newStore(pmwcas.Volatile, flush)
-		cl, err := s.CASSkipList()
-		if err != nil {
-			fail(err)
-		}
-		h := cl.NewHandle(1)
-		preload(h.Insert)
+		rs := ops.(harness.ReverseScanner)
 		kg := harness.NewKeyGen(harness.Uniform, sc.keySpace-scanLen, 7)
 		start := time.Now()
 		for i := 0; i < sc.scanOps; i++ {
 			from := kg.Next()
-			if err := h.ScanReverse(from, from+scanLen, func(skiplist.Entry) bool { return true }); err != nil {
+			if err := rs.ScanReverse(from, from+scanLen, func(uint64, uint64) bool { return true }); err != nil {
 				fail(err)
 			}
 		}
-		tbl.Add("cas + prev fix-up", harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
-	}
-	{
-		s := newStore(pmwcas.Persistent, flush)
-		l, err := s.SkipList()
-		if err != nil {
-			fail(err)
-		}
-		h := l.NewHandle(1)
-		preload(h.Insert)
-		kg := harness.NewKeyGen(harness.Uniform, sc.keySpace-scanLen, 7)
-		start := time.Now()
-		for i := 0; i < sc.scanOps; i++ {
-			from := kg.Next()
-			if err := h.ScanReverse(from, from+scanLen, func(skiplist.Entry) bool { return true }); err != nil {
-				fail(err)
-			}
-		}
-		tbl.Add("pmwcas doubly-linked", harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
+		tbl.Add(v.label, harness.Throughput(float64(sc.scanOps)/time.Since(start).Seconds()))
 	}
 	tbl.Print(os.Stdout)
 }

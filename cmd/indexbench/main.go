@@ -1,20 +1,16 @@
-// Command indexbench runs the index workload experiments (E5, E6, E7,
-// E8): skip list, Bw-tree, and hash table throughput across
-// implementation variants (single-word-CAS baseline, volatile MwCAS,
-// persistent PMwCAS), operation mixes, and key distributions, plus the
-// reverse-scan comparison the doubly-linked skip list exists for.
+// Command indexbench runs the two index matrices: E10, the cross-index
+// evaluation (all three persistent indexes through load / read / scan /
+// mixed workloads under uniform and zipfian key draws, one table), and
+// E12, the shard matrix (the persistent hash index across shard counts).
+// E1-E9 and E11 run from cmd/experiments.
 //
 // Usage:
 //
-//	indexbench [-index skiplist|bwtree|hash|both|all] [-threads n] [-ops n]
-//	           [-keys n] [-dist uniform|zipf] [-mix readheavy|updateheavy|...]
-//	           [-flushns n] [-reverse]
-//	indexbench -matrix [-json out.json] [-threads n] [-ops n] [-keys n] [-flushns n]
+//	indexbench [-json out.json] [-threads n] [-ops n] [-keys n] [-flushns n]
+//	indexbench -shards 1,2,4,8 [-yieldevery n] [-json out.json] [-threads n] [-ops n] [-keys n] [-flushns n]
 //
-// -matrix runs the cross-index evaluation: all three persistent indexes
-// through load / read / scan / mixed workloads under uniform and zipfian
-// key draws, one table. -json additionally writes the matrix as
-// machine-readable JSON (the format committed as BENCH_indexmatrix.json).
+// -json additionally writes the matrix as machine-readable JSON (the
+// formats committed as BENCH_indexmatrix.json and BENCH_shardmatrix.json).
 package main
 
 import (
@@ -31,211 +27,87 @@ import (
 )
 
 func main() {
-	index := flag.String("index", "both", "skiplist, bwtree, hash, both (ordered indexes), or all")
 	threads := flag.Int("threads", 4, "worker goroutines")
 	ops := flag.Int("ops", 20000, "operations per thread")
 	keys := flag.Uint64("keys", 1<<16, "key space size")
-	dist := flag.String("dist", "uniform", "uniform, zipf, or sequential")
-	mixName := flag.String("mix", "readheavy", "readonly, readheavy, updateheavy, insertdelete, scanheavy")
 	flushNS := flag.Int("flushns", 0, "simulated CLWB latency in ns")
-	reverse := flag.Bool("reverse", false, "run the reverse-scan comparison (E8)")
-	matrix := flag.Bool("matrix", false, "run the cross-index matrix (all indexes x workloads x distributions)")
-	shardsFlag := flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8): run the sharded hash matrix")
+	shardsFlag := flag.String("shards", "", "comma-separated shard counts (e.g. 1,2,4,8): run the sharded hash matrix (E12) instead of the cross-index matrix (E10)")
 	yieldEvery := flag.Int("yieldevery", 0, "with -shards: yield the processor every n device accesses (emulates fine-grained interleaving on few-core hosts)")
-	jsonPath := flag.String("json", "", "with -matrix or -shards: also write results as JSON to this file")
+	jsonPath := flag.String("json", "", "also write results as JSON to this file")
 	flag.Parse()
-
-	mix, ok := map[string]harness.Mix{
-		"readonly":     harness.ReadOnly,
-		"readheavy":    harness.ReadHeavy,
-		"updateheavy":  harness.UpdateHeavy,
-		"insertdelete": harness.InsertDelete,
-		"scanheavy":    harness.ScanHeavy,
-	}[*mixName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "indexbench: unknown mix %q\n", *mixName)
-		os.Exit(1)
-	}
-	d, ok := map[string]harness.Distribution{
-		"uniform":    harness.Uniform,
-		"zipf":       harness.Zipf,
-		"sequential": harness.Sequential,
-	}[*dist]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "indexbench: unknown distribution %q\n", *dist)
-		os.Exit(1)
-	}
 
 	w := harness.Workload{
 		Threads:  *threads,
 		OpsPer:   *ops,
 		KeySpace: *keys,
-		Dist:     d,
-		Mix:      mix,
 		Preload:  int(*keys / 2),
 	}
 	flush := time.Duration(*flushNS) * time.Nanosecond
 
-	if *matrix {
+	if *shardsFlag == "" {
 		runMatrix(w, flush, *jsonPath)
 		return
 	}
-	if *shardsFlag != "" {
-		counts, err := parseShards(*shardsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "indexbench:", err)
-			os.Exit(2)
-		}
-		runShardMatrix(w, flush, counts, *yieldEvery, *jsonPath)
-		return
-	}
-	if *jsonPath != "" {
-		fmt.Fprintln(os.Stderr, "indexbench: -json requires -matrix or -shards")
-		os.Exit(2)
-	}
-	if *reverse {
-		runReverse(w, flush)
-		return
-	}
-	switch *index {
-	case "skiplist", "bwtree", "hash", "both", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "indexbench: unknown index %q (want skiplist, bwtree, hash, both, or all)\n", *index)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if (*index == "hash" || *index == "all") && w.Mix.Scans > 0 {
-		fmt.Fprintln(os.Stderr, "indexbench: the hash index is unordered and does not support scan mixes")
-		os.Exit(2)
-	}
-	if *index == "skiplist" || *index == "both" || *index == "all" {
-		runSkipList(w, flush)
-	}
-	if *index == "bwtree" || *index == "both" || *index == "all" {
-		runBwTree(w, flush)
-	}
-	if *index == "hash" || *index == "all" {
-		runHash(w, flush)
-	}
-}
-
-// storeFor builds one store per variant run so variants never share a heap.
-func storeFor(mode pmwcas.Mode, flush time.Duration) *pmwcas.Store {
-	s, err := pmwcas.Create(pmwcas.Config{
-		Size:         256 << 20,
-		Mode:         mode,
-		Descriptors:  4096,
-		MaxHandles:   256,
-		FlushLatency: flush,
-	})
+	counts, err := parseShards(*shardsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "indexbench:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
-	return s
+	runShardMatrix(w, flush, counts, *yieldEvery, *jsonPath)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "indexbench:", err)
+	os.Exit(1)
 }
 
 func must[T any](v T, err error) T {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "indexbench:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	return v
 }
 
-func runSkipList(w harness.Workload, flush time.Duration) {
-	tbl := harness.NewTable(
-		fmt.Sprintf("E5: skip list — %d threads, %s, %s", w.Threads, w.Dist, mixLabel(w.Mix)),
-		"variant", "ops/s", "flushes/op", "overhead vs cas")
-	var baseline float64
-
-	{
-		s := storeFor(pmwcas.Volatile, flush)
-		cl := must(s.CASSkipList())
-		r := must(harness.Run(&harness.CASListFactory{List: cl, Label: "cas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		baseline = r.OpsPerSec
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer, "-")
+// writeJSON writes doc, indented, to path; an empty path writes nothing.
+func writeJSON(path string, doc any) {
+	if path == "" {
+		return
 	}
-	{
-		s := storeFor(pmwcas.Volatile, flush)
-		l := must(s.SkipList())
-		r := must(harness.Run(&harness.SkipListFactory{List: l, Label: "mwcas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-			fmt.Sprintf("%.1f%%", harness.OverheadPct(baseline, r.OpsPerSec)))
+	out := must(json.MarshalIndent(doc, "", "  "))
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		fail(err)
 	}
-	{
-		s := storeFor(pmwcas.Persistent, flush)
-		l := must(s.SkipList())
-		r := must(harness.Run(&harness.SkipListFactory{List: l, Label: "pmwcas (persistent)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-			fmt.Sprintf("%.1f%%", harness.OverheadPct(baseline, r.OpsPerSec)))
-	}
-	tbl.Print(os.Stdout)
+	fmt.Printf("wrote %s\n", path)
 }
 
-func runBwTree(w harness.Workload, flush time.Duration) {
-	tbl := harness.NewTable(
-		fmt.Sprintf("E6: Bw-tree — %d threads, %s, %s", w.Threads, w.Dist, mixLabel(w.Mix)),
-		"variant", "ops/s", "flushes/op", "overhead vs cas")
-	var baseline float64
-
-	{
-		s := storeFor(pmwcas.Volatile, flush)
-		t := must(s.BwTree(pmwcas.BwTreeOptions{SMO: pmwcas.SMOSingleCAS}))
-		r := must(harness.Run(&harness.BwTreeFactory{Tree: t, Label: "cas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		baseline = r.OpsPerSec
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer, "-")
-	}
-	{
-		s := storeFor(pmwcas.Volatile, flush)
-		t := must(s.BwTree(pmwcas.BwTreeOptions{SMO: pmwcas.SMOPMwCAS}))
-		r := must(harness.Run(&harness.BwTreeFactory{Tree: t, Label: "mwcas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-			fmt.Sprintf("%.1f%%", harness.OverheadPct(baseline, r.OpsPerSec)))
-	}
-	{
-		s := storeFor(pmwcas.Persistent, flush)
-		t := must(s.BwTree(pmwcas.BwTreeOptions{SMO: pmwcas.SMOPMwCAS}))
-		r := must(harness.Run(&harness.BwTreeFactory{Tree: t, Label: "pmwcas (persistent)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-			fmt.Sprintf("%.1f%%", harness.OverheadPct(baseline, r.OpsPerSec)))
-	}
-	tbl.Print(os.Stdout)
+// shape is one workload shape of the matrices. A shape without preload
+// starts from an empty index.
+type shape struct {
+	name    string
+	mix     harness.Mix
+	preload bool
 }
 
-// runHash measures E7: the hash table has no single-word-CAS baseline
-// (every mutation is inherently multi-word), so the volatile MwCAS run
-// is the reference the persistence overhead is charged against.
-func runHash(w harness.Workload, flush time.Duration) {
-	tbl := harness.NewTable(
-		fmt.Sprintf("E7: hash table — %d threads, %s, %s", w.Threads, w.Dist, mixLabel(w.Mix)),
-		"variant", "ops/s", "flushes/op", "overhead vs volatile")
-	var baseline float64
-
-	{
-		s := storeFor(pmwcas.Volatile, flush)
-		t := must(s.HashTable(pmwcas.HashTableOptions{}))
-		r := must(harness.Run(&harness.HashTableFactory{Table: t, Label: "mwcas (volatile)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		baseline = r.OpsPerSec
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer, "-")
+// workload specializes w to the shape under key distribution d.
+func (sh shape) workload(w harness.Workload, d harness.Distribution) harness.Workload {
+	w.Mix = sh.mix
+	w.Dist = d
+	if !sh.preload {
+		w.Preload = 0
 	}
-	{
-		s := storeFor(pmwcas.Persistent, flush)
-		t := must(s.HashTable(pmwcas.HashTableOptions{}))
-		r := must(harness.Run(&harness.HashTableFactory{Table: t, Label: "pmwcas (persistent)"}, w,
-			func() uint64 { return s.Device().Stats().Flushes }))
-		tbl.Add(r.Variant, harness.Throughput(r.OpsPerSec), r.FlushesPer,
-			fmt.Sprintf("%.1f%%", harness.OverheadPct(baseline, r.OpsPerSec)))
-	}
-	tbl.Print(os.Stdout)
+	return w
 }
+
+// shapes are the workload shapes both matrices run, each under every
+// distribution in dists.
+var shapes = []shape{
+	{"load", harness.Mix{Inserts: 100}, false},
+	{"read", harness.ReadHeavy, true},
+	{"scan", harness.ScanHeavy, true},
+	{"mixed", harness.UpdateHeavy, true},
+}
+
+var dists = []harness.Distribution{harness.Uniform, harness.Zipf}
 
 // matrixCell is one measured (index, workload, distribution) point of the
 // cross-index matrix — the JSON record format of BENCH_indexmatrix.json.
@@ -259,24 +131,11 @@ type matrixDoc struct {
 	Results      []matrixCell `json:"results"`
 }
 
-// runMatrix is the cross-index evaluation: every persistent index
+// runMatrix is the cross-index evaluation (E10): every persistent index
 // through four workload shapes under two key distributions. Scan on the
 // hash index is reported as unsupported rather than measured — a hash
 // table faking a range scan would be benchmarking a lie.
 func runMatrix(w harness.Workload, flush time.Duration, jsonPath string) {
-	shapes := []struct {
-		name    string
-		mix     harness.Mix
-		preload bool
-	}{
-		{"load", harness.Mix{Inserts: 100}, false},
-		{"read", harness.ReadHeavy, true},
-		{"scan", harness.ScanHeavy, true},
-		{"mixed", harness.UpdateHeavy, true},
-	}
-	dists := []harness.Distribution{harness.Uniform, harness.Zipf}
-	indexes := []string{"skiplist", "bwtree", "hash"}
-
 	tbl := harness.NewTable(
 		fmt.Sprintf("Index matrix — persistent stores, %d threads, %d keys", w.Threads, w.KeySpace),
 		"index", "workload", "dist", "ops/s", "flushes/op")
@@ -287,47 +146,40 @@ func runMatrix(w harness.Workload, flush time.Duration, jsonPath string) {
 		KeySpace:     w.KeySpace,
 		FlushNS:      flush.Nanoseconds(),
 	}
-	for _, ix := range indexes {
-		for _, shape := range shapes {
+	for _, ix := range []string{"skiplist", "bwtree", "hash"} {
+		for _, sh := range shapes {
 			for _, d := range dists {
-				cell := matrixCell{Index: ix, Workload: shape.name, Dist: d.String()}
-				if ix == "hash" && shape.mix.Scans > 0 {
-					tbl.Add(ix, shape.name, d.String(), "n/a (unordered)", "-")
+				cell := matrixCell{Index: ix, Workload: sh.name, Dist: d.String()}
+				if ix == "hash" && sh.mix.Scans > 0 {
+					tbl.Add(ix, sh.name, d.String(), "n/a (unordered)", "-")
 					doc.Results = append(doc.Results, cell)
 					continue
 				}
-				cw := w
-				cw.Mix = shape.mix
-				cw.Dist = d
-				if !shape.preload {
-					cw.Preload = 0
-				}
-				s := storeFor(pmwcas.Persistent, flush)
-				r := must(harness.Run(matrixFactory(s, ix), cw,
+				s := matrixStore(flush)
+				r := must(harness.Run(matrixFactory(s, ix), sh.workload(w, d),
 					func() uint64 { return s.Device().Stats().Flushes }))
 				cell.Supported = true
 				cell.OpsPerSec = r.OpsPerSec
 				cell.FlushesPerOp = r.FlushesPer
 				doc.Results = append(doc.Results, cell)
-				tbl.Add(ix, shape.name, d.String(), harness.Throughput(r.OpsPerSec), r.FlushesPer)
+				tbl.Add(ix, sh.name, d.String(), harness.Throughput(r.OpsPerSec), r.FlushesPer)
 			}
 		}
 	}
 	tbl.Print(os.Stdout)
+	writeJSON(jsonPath, doc)
+}
 
-	if jsonPath != "" {
-		out, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "indexbench:", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "indexbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
+// matrixStore builds one persistent store per matrix cell so cells never
+// share a heap.
+func matrixStore(flush time.Duration) *pmwcas.Store {
+	return must(pmwcas.Create(pmwcas.Config{
+		Size:         256 << 20,
+		Mode:         pmwcas.Persistent,
+		Descriptors:  4096,
+		MaxHandles:   256,
+		FlushLatency: flush,
+	}))
 }
 
 // matrixFactory opens index ix on store s in its matrix configuration.
@@ -381,24 +233,15 @@ type shardDoc struct {
 // total are fixed, so every run gets identical memory and descriptor
 // capacity, just partitioned differently.
 func shardStoreFor(n int, flush time.Duration, yieldEvery int) *pmwcas.Store {
-	descriptors := 4096 / n
-	if descriptors < 256 {
-		descriptors = 256
-	}
-	s, err := pmwcas.Create(pmwcas.Config{
+	return must(pmwcas.Create(pmwcas.Config{
 		Size:         256 << 20,
 		Mode:         pmwcas.Persistent,
 		Shards:       n,
-		Descriptors:  descriptors,
+		Descriptors:  max(4096/n, 256),
 		MaxHandles:   64,
 		FlushLatency: flush,
 		YieldEvery:   yieldEvery,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "indexbench:", err)
-		os.Exit(1)
-	}
-	return s
+	}))
 }
 
 // shardedHashFactory routes keys across per-shard hash tables with
@@ -445,22 +288,12 @@ func (o *shardedHashOps) Scan(from, to uint64, fn func(uint64, uint64) bool) err
 	return pmwcas.ErrHashUnordered
 }
 
-// runShardMatrix measures the shard-per-core engine: the hash index
-// across shard counts, workload shapes, and key distributions, with the
-// total device/descriptor budget held constant so the only variable is
-// how the store is partitioned.
+// runShardMatrix measures the shard-per-core engine (E12): the hash
+// index across shard counts, workload shapes, and key distributions,
+// with the total device/descriptor budget held constant so the only
+// variable is how the store is partitioned. The hash index is
+// unordered, so the scan shape is skipped.
 func runShardMatrix(w harness.Workload, flush time.Duration, counts []int, yieldEvery int, jsonPath string) {
-	shapes := []struct {
-		name    string
-		mix     harness.Mix
-		preload bool
-	}{
-		{"load", harness.Mix{Inserts: 100}, false},
-		{"read", harness.ReadHeavy, true},
-		{"mixed", harness.UpdateHeavy, true},
-	}
-	dists := []harness.Distribution{harness.Uniform, harness.Zipf}
-
 	tbl := harness.NewTable(
 		fmt.Sprintf("Shard matrix — persistent hash index, %d threads, %d keys", w.Threads, w.KeySpace),
 		"shards", "workload", "dist", "ops/s", "flushes/op")
@@ -473,97 +306,24 @@ func runShardMatrix(w harness.Workload, flush time.Duration, counts []int, yield
 		YieldEvery:   yieldEvery,
 	}
 	for _, n := range counts {
-		for _, shape := range shapes {
+		for _, sh := range shapes {
+			if sh.mix.Scans > 0 {
+				continue
+			}
 			for _, d := range dists {
-				cw := w
-				cw.Mix = shape.mix
-				cw.Dist = d
-				if !shape.preload {
-					cw.Preload = 0
-				}
 				s := shardStoreFor(n, flush, yieldEvery)
 				f := newShardedHashFactory(s, fmt.Sprintf("hash/%dshard", n))
-				r := must(harness.Run(f, cw,
+				r := must(harness.Run(f, sh.workload(w, d),
 					func() uint64 { return s.Device().Stats().Flushes }))
 				doc.Results = append(doc.Results, shardCell{
-					Shards: n, Workload: shape.name, Dist: d.String(),
+					Shards: n, Workload: sh.name, Dist: d.String(),
 					OpsPerSec: r.OpsPerSec, FlushesPerOp: r.FlushesPer,
 				})
-				tbl.Add(fmt.Sprint(n), shape.name, d.String(),
+				tbl.Add(fmt.Sprint(n), sh.name, d.String(),
 					harness.Throughput(r.OpsPerSec), r.FlushesPer)
 			}
 		}
 	}
 	tbl.Print(os.Stdout)
-
-	if jsonPath != "" {
-		out, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "indexbench:", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "indexbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-// runReverse measures E8: reverse scans on the doubly-linked list vs the
-// baseline's validate-and-repair prev traversal.
-func runReverse(w harness.Workload, flush time.Duration) {
-	const scanLen = 100
-	tbl := harness.NewTable(
-		fmt.Sprintf("E8: reverse scans (%d keys preloaded, %d-key ranges)", w.Preload, scanLen),
-		"variant", "scans/s")
-
-	type scanner interface {
-		harness.IndexOps
-	}
-	run := func(label string, ops scanner, rs harness.ReverseScanner) {
-		// Preload.
-		stride := w.KeySpace / uint64(w.Preload)
-		if stride == 0 {
-			stride = 1
-		}
-		for i := 0; i < w.Preload; i++ {
-			if err := ops.Insert((uint64(i)*stride)%w.KeySpace+1, uint64(i)); err != nil {
-				fmt.Fprintln(os.Stderr, "indexbench: preload:", err)
-				os.Exit(1)
-			}
-		}
-		kg := harness.NewKeyGen(harness.Uniform, w.KeySpace-scanLen, 99)
-		start := time.Now()
-		n := w.Threads * w.OpsPer
-		for i := 0; i < n; i++ {
-			from := kg.Next()
-			if err := rs.ScanReverse(from, from+scanLen, func(uint64, uint64) bool { return true }); err != nil {
-				fmt.Fprintln(os.Stderr, "indexbench: scan:", err)
-				os.Exit(1)
-			}
-		}
-		tbl.Add(label, harness.Throughput(float64(n)/time.Since(start).Seconds()))
-	}
-
-	{
-		s := storeFor(pmwcas.Volatile, flush)
-		cl := must(s.CASSkipList())
-		f := &harness.CASListFactory{List: cl, Label: "cas"}
-		ops := f.NewOps(1)
-		run("cas singly-linked + fixup", ops, ops.(harness.ReverseScanner))
-	}
-	{
-		s := storeFor(pmwcas.Persistent, flush)
-		l := must(s.SkipList())
-		f := &harness.SkipListFactory{List: l, Label: "pmwcas"}
-		ops := f.NewOps(1)
-		run("pmwcas doubly-linked", ops, ops.(harness.ReverseScanner))
-	}
-	tbl.Print(os.Stdout)
-}
-
-func mixLabel(m harness.Mix) string {
-	return fmt.Sprintf("r%d/i%d/u%d/d%d/s%d", m.Reads, m.Inserts, m.Updates, m.Deletes, m.Scans)
+	writeJSON(jsonPath, doc)
 }
