@@ -105,15 +105,15 @@ func preloadIndex(b *testing.B, ops harness.IndexOps) {
 	}
 }
 
-// runIndexBench drives b.N mixed operations through a factory.
-func runIndexBench(b *testing.B, f harness.IndexFactory, mix harness.Mix, flushes func() uint64) {
+// runIndexBench drives b.N mixed operations through per-thread ops.
+func runIndexBench(b *testing.B, newOps harness.NewOps, mix harness.Mix, flushes func() uint64) {
 	b.Helper()
-	preloadIndex(b, f.NewOps(0))
+	preloadIndex(b, newOps(0))
 	var seq atomic.Int64
 	before := flushes()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		ops := f.NewOps(seq.Add(1))
+		ops := newOps(seq.Add(1))
 		kg := harness.NewKeyGen(harness.Uniform, benchKeySpace, seq.Add(1))
 		i := 0
 		for pb.Next() {
@@ -152,7 +152,7 @@ func BenchmarkE5SkipList(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runIndexBench(b, &harness.CASListFactory{List: cl, Label: "cas"}, mix.mix,
+			runIndexBench(b, harness.CASList(cl), mix.mix,
 				func() uint64 { return s.Device().Stats().Flushes })
 		})
 		b.Run("mwcas/"+mix.name, func(b *testing.B) {
@@ -161,7 +161,7 @@ func BenchmarkE5SkipList(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runIndexBench(b, &harness.SkipListFactory{List: l, Label: "mwcas"}, mix.mix,
+			runIndexBench(b, harness.SkipList(l), mix.mix,
 				func() uint64 { return s.Device().Stats().Flushes })
 		})
 		b.Run("pmwcas/"+mix.name, func(b *testing.B) {
@@ -170,7 +170,7 @@ func BenchmarkE5SkipList(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runIndexBench(b, &harness.SkipListFactory{List: l, Label: "pmwcas"}, mix.mix,
+			runIndexBench(b, harness.SkipList(l), mix.mix,
 				func() uint64 { return s.Device().Stats().Flushes })
 		})
 	}
@@ -197,7 +197,7 @@ func BenchmarkE6BwTree(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				runIndexBench(b, &harness.BwTreeFactory{Tree: t, Label: variant.name}, mix.mix,
+				runIndexBench(b, harness.BwTree(t), mix.mix,
 					func() uint64 { return s.Device().Stats().Flushes })
 			})
 		}

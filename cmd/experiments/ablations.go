@@ -78,7 +78,7 @@ func a3Eviction(threads int, sc scale) {
 		if err != nil {
 			fail(err)
 		}
-		r, err := harness.Run(&harness.SkipListFactory{List: l, Label: "pmwcas"}, w,
+		r, err := harness.Run(harness.SkipList(l), w,
 			func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			fail(err)
@@ -113,7 +113,7 @@ func a4ConsolidationThreshold(threads int, sc scale) {
 		if err != nil {
 			fail(err)
 		}
-		r, err := harness.Run(&harness.BwTreeFactory{Tree: t, Label: "pmwcas"}, w,
+		r, err := harness.Run(harness.BwTree(t), w,
 			func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			fail(err)

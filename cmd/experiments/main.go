@@ -142,7 +142,7 @@ var reps int
 
 // runMedian runs the workload reps times on the same (preloaded) store
 // and returns the run with median throughput.
-func runMedian(s *pmwcas.Store, f harness.IndexFactory, w harness.Workload) (harness.Result, error) {
+func runMedian(s *pmwcas.Store, newOps harness.NewOps, w harness.Workload) (harness.Result, error) {
 	n := reps
 	if n < 1 {
 		n = 1
@@ -153,7 +153,7 @@ func runMedian(s *pmwcas.Store, f harness.IndexFactory, w harness.Workload) (har
 		if i > 0 {
 			ww.Preload = 0 // already loaded
 		}
-		r, err := harness.Run(f, ww, func() uint64 { return s.Device().Stats().Flushes })
+		r, err := harness.Run(newOps, ww, func() uint64 { return s.Device().Stats().Flushes })
 		if err != nil {
 			return harness.Result{}, err
 		}
@@ -249,39 +249,39 @@ func newStore(mode pmwcas.Mode, flush time.Duration) *pmwcas.Store {
 type variant struct {
 	label string
 	mode  pmwcas.Mode
-	open  func(*pmwcas.Store) (harness.IndexFactory, error)
+	open  func(*pmwcas.Store) (harness.NewOps, error)
 }
 
 // start opens the variant's index on a fresh store.
-func (v variant) start(flush time.Duration) (*pmwcas.Store, harness.IndexFactory) {
+func (v variant) start(flush time.Duration) (*pmwcas.Store, harness.NewOps) {
 	s := newStore(v.mode, flush)
-	f, err := v.open(s)
+	newOps, err := v.open(s)
 	if err != nil {
 		fail(err)
 	}
-	return s, f
+	return s, newOps
 }
 
-func casList(s *pmwcas.Store) (harness.IndexFactory, error) {
+func casList(s *pmwcas.Store) (harness.NewOps, error) {
 	l, err := s.CASSkipList()
-	return &harness.CASListFactory{List: l}, err
+	return harness.CASList(l), err
 }
 
-func skipList(s *pmwcas.Store) (harness.IndexFactory, error) {
+func skipList(s *pmwcas.Store) (harness.NewOps, error) {
 	l, err := s.SkipList()
-	return &harness.SkipListFactory{List: l}, err
+	return harness.SkipList(l), err
 }
 
-func bwTree(smo pmwcas.SMOMode) func(*pmwcas.Store) (harness.IndexFactory, error) {
-	return func(s *pmwcas.Store) (harness.IndexFactory, error) {
+func bwTree(smo pmwcas.SMOMode) func(*pmwcas.Store) (harness.NewOps, error) {
+	return func(s *pmwcas.Store) (harness.NewOps, error) {
 		t, err := s.BwTree(pmwcas.BwTreeOptions{SMO: smo})
-		return &harness.BwTreeFactory{Tree: t}, err
+		return harness.BwTree(t), err
 	}
 }
 
-func hashTable(s *pmwcas.Store) (harness.IndexFactory, error) {
+func hashTable(s *pmwcas.Store) (harness.NewOps, error) {
 	t, err := s.HashTable(pmwcas.HashTableOptions{})
-	return &harness.HashTableFactory{Table: t}, err
+	return harness.HashTable(t), err
 }
 
 // variantTables prints one table per mix (read-heavy, then
@@ -301,8 +301,8 @@ func variantTables(title, base string, threads int, sc scale, flush time.Duratio
 			"variant", "ops/s", "flushes/op", "overhead vs "+base)
 		var baseOps float64
 		for i, v := range variants {
-			s, f := v.start(flush)
-			r, err := runMedian(s, f, w)
+			s, newOps := v.start(flush)
+			r, err := runMedian(s, newOps, w)
 			if err != nil {
 				fail(err)
 			}
@@ -387,8 +387,8 @@ func e11(threads int, sc scale, flush time.Duration) {
 				on    bool
 			}{{"off", false}, {"on", true}} {
 				core.SetFlushElision(el.on)
-				s, f := idx.start(flush)
-				r, err := runMedian(s, f, w)
+				s, newOps := idx.start(flush)
+				r, err := runMedian(s, newOps, w)
 				if err != nil {
 					fail(err)
 				}
@@ -437,8 +437,8 @@ func e8(sc scale, flush time.Duration) {
 		{"cas + prev fix-up", pmwcas.Volatile, casList},
 		{"pmwcas doubly-linked", pmwcas.Persistent, skipList},
 	} {
-		_, f := v.start(flush)
-		ops := f.NewOps(1)
+		_, newOps := v.start(flush)
+		ops := newOps(1)
 		for i := 0; i < sc.preload; i++ {
 			if err := ops.Insert((uint64(i)*stride)%sc.keySpace+1, uint64(i)); err != nil {
 				fail(err)

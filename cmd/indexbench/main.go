@@ -156,7 +156,7 @@ func runMatrix(w harness.Workload, flush time.Duration, jsonPath string) {
 					continue
 				}
 				s := matrixStore(flush)
-				r := must(harness.Run(matrixFactory(s, ix), sh.workload(w, d),
+				r := must(harness.Run(matrixOps(s, ix), sh.workload(w, d),
 					func() uint64 { return s.Device().Stats().Flushes }))
 				cell.Supported = true
 				cell.OpsPerSec = r.OpsPerSec
@@ -182,15 +182,15 @@ func matrixStore(flush time.Duration) *pmwcas.Store {
 	}))
 }
 
-// matrixFactory opens index ix on store s in its matrix configuration.
-func matrixFactory(s *pmwcas.Store, ix string) harness.IndexFactory {
+// matrixOps opens index ix on store s in its matrix configuration.
+func matrixOps(s *pmwcas.Store, ix string) harness.NewOps {
 	switch ix {
 	case "skiplist":
-		return &harness.SkipListFactory{List: must(s.SkipList()), Label: "skiplist"}
+		return harness.SkipList(must(s.SkipList()))
 	case "bwtree":
-		return &harness.BwTreeFactory{Tree: must(s.BwTree(pmwcas.BwTreeOptions{})), Label: "bwtree"}
+		return harness.BwTree(must(s.BwTree(pmwcas.BwTreeOptions{})))
 	case "hash":
-		return &harness.HashTableFactory{Table: must(s.HashTable(pmwcas.HashTableOptions{})), Label: "hash"}
+		return harness.HashTable(must(s.HashTable(pmwcas.HashTableOptions{})))
 	}
 	panic("indexbench: unreachable index " + ix)
 }
@@ -244,48 +244,15 @@ func shardStoreFor(n int, flush time.Duration, yieldEvery int) *pmwcas.Store {
 	}))
 }
 
-// shardedHashFactory routes keys across per-shard hash tables with
+// shardedHash routes keys across per-shard hash tables with
 // Store.ShardForKey — the same placement the server's kvConn uses,
 // measured without the network in the way.
-type shardedHashFactory struct {
-	store *pmwcas.Store
-	tabs  []*pmwcas.HashTable
-	label string
-}
-
-func newShardedHashFactory(s *pmwcas.Store, label string) *shardedHashFactory {
-	f := &shardedHashFactory{store: s, label: label}
-	for i := 0; i < s.ShardCount(); i++ {
-		f.tabs = append(f.tabs, must(s.Shard(i).HashTable(pmwcas.HashTableOptions{})))
+func shardedHash(s *pmwcas.Store) harness.NewOps {
+	shards := make([]harness.NewOps, s.ShardCount())
+	for i := range shards {
+		shards[i] = harness.HashTable(must(s.Shard(i).HashTable(pmwcas.HashTableOptions{})))
 	}
-	return f
-}
-
-func (f *shardedHashFactory) Name() string { return f.label }
-
-func (f *shardedHashFactory) NewOps(seed int64) harness.IndexOps {
-	o := &shardedHashOps{store: f.store}
-	for _, t := range f.tabs {
-		o.hs = append(o.hs, t.NewHandle())
-	}
-	return o
-}
-
-type shardedHashOps struct {
-	store *pmwcas.Store
-	hs    []*pmwcas.HashTableHandle
-}
-
-func (o *shardedHashOps) h(key uint64) *pmwcas.HashTableHandle {
-	return o.hs[o.store.ShardForKey(key)]
-}
-
-func (o *shardedHashOps) Insert(k, v uint64) error     { return o.h(k).Insert(k, v) }
-func (o *shardedHashOps) Get(k uint64) (uint64, error) { return o.h(k).Get(k) }
-func (o *shardedHashOps) Update(k, v uint64) error     { return o.h(k).Update(k, v) }
-func (o *shardedHashOps) Delete(k uint64) error        { return o.h(k).Delete(k) }
-func (o *shardedHashOps) Scan(from, to uint64, fn func(uint64, uint64) bool) error {
-	return pmwcas.ErrHashUnordered
+	return harness.Routed(shards, s.ShardForKey)
 }
 
 // runShardMatrix measures the shard-per-core engine (E12): the hash
@@ -312,8 +279,7 @@ func runShardMatrix(w harness.Workload, flush time.Duration, counts []int, yield
 			}
 			for _, d := range dists {
 				s := shardStoreFor(n, flush, yieldEvery)
-				f := newShardedHashFactory(s, fmt.Sprintf("hash/%dshard", n))
-				r := must(harness.Run(f, sh.workload(w, d),
+				r := must(harness.Run(shardedHash(s), sh.workload(w, d),
 					func() uint64 { return s.Device().Stats().Flushes }))
 				doc.Results = append(doc.Results, shardCell{
 					Shards: n, Workload: sh.name, Dist: d.String(),

@@ -10,11 +10,9 @@ import (
 
 	"pmwcas"
 	"pmwcas/internal/blobkv"
-	"pmwcas/internal/bwtree"
-	"pmwcas/internal/hashtable"
+	"pmwcas/internal/harness"
 	"pmwcas/internal/pqueue"
 	"pmwcas/internal/server"
-	"pmwcas/internal/skiplist"
 	"pmwcas/internal/wire"
 )
 
@@ -31,19 +29,25 @@ type workload struct {
 
 var workloads = []workload{
 	{
+		// 48 keys, 3 upserts and 2 deletes in 6: most operations hit
+		// existing towers (the delete/unlink and update paths, not just
+		// fresh inserts).
 		name:      "skiplist",
 		newOracle: func() oracle { return newKVOracle(targetSkipList) },
-		run:       runSkipList,
+		run:       runKV(48, 3, 2, openSkipList),
 	},
 	{
+		// Upsert-heavy (4 in 6) over 96 keys to grow depth and trigger
+		// splits; the deletes shrink leaves under MergeBelow.
 		name:      "bwtree",
 		newOracle: func() oracle { return newKVOracle(targetBwTree) },
-		run:       runBwTree,
+		run:       runKV(96, 4, 1, openBwTree),
 	},
 	{
+		// Upsert-heavy over 96 keys to fill buckets and trigger splits.
 		name:      "hashtable",
 		newOracle: func() oracle { return newKVOracle(targetHash) },
-		run:       runHashTable,
+		run:       runKV(96, 4, 1, openHashTable),
 	},
 	{
 		name:      "pqueue",
@@ -63,10 +67,11 @@ var workloads = []workload{
 		run:       runServer,
 	},
 	{
+		// The hashtable mix across two shards.
 		name:      "sharded",
 		shards:    2,
 		newOracle: func() oracle { return newKVOracle(targetHash) },
-		run:       runSharded,
+		run:       runKV(96, 4, 1, openSharded),
 	},
 }
 
@@ -88,64 +93,69 @@ func workloadByName(name string) (workload, bool) {
 	return workload{}, false
 }
 
-// runSkipList mixes upserts, deletes, and read-backs over a small key
-// space, so most operations hit existing towers (the delete/unlink and
-// update paths, not just fresh inserts).
-func runSkipList(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
-	list, err := st.SkipList()
-	if err != nil {
-		return err
-	}
-	h := list.NewHandle(opt.Seed)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(48)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2: // upsert
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, skiplist.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
-			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 3, 4: // delete
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, skiplist.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5: // read-back: a live linearizability probe against the model
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, skiplist.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
+// runKV returns an integer-KV run: upserts, deletes and read-backs over
+// keys [1, keys], the op picked by rng.Intn(6) — below puts upserts,
+// below puts+dels deletes, the rest read back against the model. open
+// makes the one handle the trace drives.
+func runKV(keys, puts, dels int, open func(*pmwcas.Store, Options) (harness.PointOps, error)) func(*pmwcas.Store, oracle, Options) error {
+	return func(st *pmwcas.Store, o oracle, opt Options) error {
+		kv := o.(*kvOracle)
+		h, err := open(st, opt)
+		if err != nil {
+			return err
+		}
+		rng := rand.New(rand.NewSource(opt.Seed))
+		for i := 0; i < opt.Ops; i++ {
+			key := uint64(rng.Intn(keys)) + 1
+			switch op := rng.Intn(6); {
+			case op < puts:
+				val := uint64(rng.Intn(1<<20)) + 1
+				kv.begin(kvOp{kvPut, key, val})
+				err := h.Insert(key, val)
+				if harness.IsKeyExists(err) {
+					err = h.Update(key, val)
 				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
+				kv.commit(err == nil)
+				if err != nil {
+					return fmt.Errorf("put %#x: %w", key, err)
+				}
+			case op < puts+dels:
+				kv.begin(kvOp{kvDelete, key, 0})
+				err := h.Delete(key)
+				kv.commit(err == nil)
+				if err != nil && !harness.IsNotFound(err) {
+					return fmt.Errorf("delete %#x: %w", key, err)
+				}
+			default: // read-back: a live linearizability probe against the model
+				got, err := h.Get(key)
+				want, ok := kv.expect(key)
+				if harness.IsNotFound(err) {
+					if ok {
+						return fmt.Errorf("get %#x: not found, model has %#x", key, want)
+					}
+				} else if err != nil {
+					return fmt.Errorf("get %#x: %w", key, err)
+				} else if !ok || got != want {
+					return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
+				}
 			}
 		}
+		return nil
 	}
-	return nil
 }
 
-// runBwTree uses deliberately tiny pages and aggressive maintenance
-// thresholds so a few hundred operations force every SMO — consolidation,
-// splits (including root splits), and merges — under the sweep.
-func runBwTree(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
+func openSkipList(st *pmwcas.Store, opt Options) (harness.PointOps, error) {
+	list, err := st.SkipList()
+	if err != nil {
+		return nil, err
+	}
+	return list.NewHandle(opt.Seed), nil
+}
+
+// openBwTree uses deliberately tiny pages and aggressive maintenance
+// thresholds, so a few hundred operations force every SMO:
+// consolidation, splits (including root splits), and merges.
+func openBwTree(st *pmwcas.Store, _ Options) (harness.PointOps, error) {
 	tree, err := st.BwTree(pmwcas.BwTreeOptions{
 		LeafCapacity:     8,
 		InnerCapacity:    8,
@@ -153,164 +163,38 @@ func runBwTree(st *pmwcas.Store, o oracle, opt Options) error {
 		MergeBelow:       3,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	h := tree.NewHandle()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(96)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3: // upsert-heavy, to grow depth and trigger splits
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, bwtree.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
-			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 4: // delete, to shrink leaves under MergeBelow
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, bwtree.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5:
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, bwtree.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
+	return tree.NewHandle(), nil
 }
 
-// runHashTable uses deliberately tiny buckets so a few hundred
+// openHashTable uses deliberately tiny buckets, so a few hundred
 // operations over 96 keys force many splits and several directory
-// doublings — the structure-changing crash points — alongside the plain
-// insert/update/delete descriptor paths.
-func runHashTable(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
+// doublings alongside the plain insert/update/delete paths.
+func openHashTable(st *pmwcas.Store, _ Options) (harness.PointOps, error) {
 	tab, err := st.HashTable(pmwcas.HashTableOptions{SlotsPerBucket: 4})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	h := tab.NewHandle()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(96)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3: // upsert-heavy, to fill buckets and trigger splits
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, hashtable.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
-			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 4:
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5:
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
+	return tab.NewHandle(), nil
 }
 
-// runSharded drives the hash mix of runHashTable across a two-shard
-// store, routing each key to its home shard exactly as the server does.
-// Beyond the per-shard crash points (each shard's splits, doublings, and
-// reclaims now interleave in one device trace), the sweeper's check adds
-// the cross-shard ones: every clone is additionally crashed *between*
-// shard recoveries and re-recovered from scratch.
-func runSharded(st *pmwcas.Store, o oracle, opt Options) error {
-	kv := o.(*kvOracle)
-	handles := make([]*pmwcas.HashTableHandle, st.ShardCount())
-	for si := range handles {
+// openSharded opens openHashTable's table on every shard and routes
+// each key to its home shard with Store.ShardForKey, as the server does.
+// Beyond the per-shard crash points (each shard's splits, doublings and
+// reclaims interleave in one device trace), the sweeper's check adds the
+// cross-shard ones: every clone is additionally crashed *between* shard
+// recoveries and re-recovered from scratch.
+func openSharded(st *pmwcas.Store, opt Options) (harness.PointOps, error) {
+	shards := make([]harness.NewOps, st.ShardCount())
+	for si := range shards {
 		tab, err := st.Shard(si).HashTable(pmwcas.HashTableOptions{SlotsPerBucket: 4})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		handles[si] = tab.NewHandle()
+		shards[si] = harness.HashTable(tab)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for i := 0; i < opt.Ops; i++ {
-		key := uint64(rng.Intn(96)) + 1
-		h := handles[st.ShardForKey(key)]
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3:
-			val := uint64(rng.Intn(1<<20)) + 1
-			kv.begin(kvOp{kvPut, key, val})
-			err := h.Insert(key, val)
-			if errors.Is(err, hashtable.ErrKeyExists) {
-				err = h.Update(key, val)
-			}
-			kv.commit(err == nil)
-			if err != nil {
-				return fmt.Errorf("put %#x: %w", key, err)
-			}
-		case 4:
-			kv.begin(kvOp{kvDelete, key, 0})
-			err := h.Delete(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				kv.commit(false)
-			} else if err != nil {
-				kv.commit(false)
-				return fmt.Errorf("delete %#x: %w", key, err)
-			} else {
-				kv.commit(true)
-			}
-		case 5:
-			got, err := h.Get(key)
-			want, ok := kv.expect(key)
-			if errors.Is(err, hashtable.ErrNotFound) {
-				if ok {
-					return fmt.Errorf("get %#x: not found, model has %#x", key, want)
-				}
-			} else if err != nil {
-				return fmt.Errorf("get %#x: %w", key, err)
-			} else if !ok || got != want {
-				return fmt.Errorf("get %#x = %#x, model has %#x (present %v)", key, got, want, ok)
-			}
-		}
-	}
-	return nil
+	return harness.Routed(shards, st.ShardForKey)(opt.Seed), nil
 }
 
 func runPQueue(st *pmwcas.Store, o oracle, opt Options) error {

@@ -11,10 +11,22 @@ import (
 	"testing"
 )
 
+// counter is a test Retiree that counts its Retire calls.
+type counter struct{ n atomic.Int32 }
+
+func (c *counter) Retire(_, _ uint64) { c.n.Add(1) }
+
+func (c *counter) Load() int32 { return c.n.Load() }
+
+// retireFunc adapts a function to Retiree.
+type retireFunc func(off, aux uint64)
+
+func (f retireFunc) Retire(off, aux uint64) { f(off, aux) }
+
 func TestCollectWithNoGuardsRunsAfterAdvance(t *testing.T) {
 	m := NewManager()
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) })
+	var ran counter
+	m.DeferRetire(&ran, 0, 0)
 	// Deferred at epoch 1; minProtected is +inf (no guards), so it is
 	// immediately below the bound.
 	if n := m.Collect(); n != 1 {
@@ -29,8 +41,8 @@ func TestActiveGuardBlocksReclamation(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
 	g.Enter()
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) })
+	var ran counter
+	m.DeferRetire(&ran, 0, 0)
 	m.Advance()
 	if n := m.Collect(); n != 0 {
 		t.Fatalf("Collect reclaimed %d under active guard", n)
@@ -50,10 +62,10 @@ func TestActiveGuardBlocksReclamation(t *testing.T) {
 func TestGuardInNewerEpochDoesNotBlockOldGarbage(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) }) // epoch 1
-	m.Advance()                    // epoch 2
-	g.Enter()                      // pinned at 2
+	var ran counter
+	m.DeferRetire(&ran, 0, 0) // epoch 1
+	m.Advance()               // epoch 2
+	g.Enter()                 // pinned at 2
 	if n := m.Collect(); n != 1 {
 		t.Fatalf("Collect = %d, want 1: guard at epoch 2 cannot see epoch-1 garbage", n)
 	}
@@ -64,8 +76,8 @@ func TestSameEpochGarbageIsProtected(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
 	g.Enter() // pinned at 1
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) }) // epoch 1: g may have read the object
+	var ran counter
+	m.DeferRetire(&ran, 0, 0) // epoch 1: g may have read the object
 	if n := m.Collect(); n != 0 {
 		t.Fatalf("Collect reclaimed same-epoch garbage under guard")
 	}
@@ -105,9 +117,9 @@ func TestExitWithoutEnterPanics(t *testing.T) {
 
 func TestDrain(t *testing.T) {
 	m := NewManager()
-	var ran atomic.Int32
+	var ran counter
 	for i := 0; i < 100; i++ {
-		m.Defer(func() { ran.Add(1) })
+		m.DeferRetire(&ran, 0, 0)
 		m.Advance()
 	}
 	if n := m.Drain(); n != 100 {
@@ -125,7 +137,7 @@ func TestDrainPanicsWithActiveGuard(t *testing.T) {
 	m := NewManager()
 	g := m.Register()
 	g.Enter()
-	m.Defer(func() {})
+	m.DeferRetire(&counter{}, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Drain with active guard did not panic")
@@ -134,25 +146,35 @@ func TestDrainPanicsWithActiveGuard(t *testing.T) {
 	m.Drain()
 }
 
-func TestCallbackMayDefer(t *testing.T) {
+func TestRetireMayDefer(t *testing.T) {
 	m := NewManager()
-	var ran atomic.Int32
-	m.Defer(func() {
-		m.Defer(func() { ran.Add(1) })
-	})
+	var ran counter
+	m.DeferRetire(retireFunc(func(_, _ uint64) { m.DeferRetire(&ran, 0, 0) }), 0, 0)
 	m.Advance()
 	m.Collect()
 	m.Advance()
 	m.Collect()
 	if ran.Load() != 1 {
-		t.Fatal("nested Defer from callback never ran")
+		t.Fatal("nested DeferRetire from Retire never ran")
+	}
+}
+
+func TestRetireGetsItsWords(t *testing.T) {
+	m := NewManager()
+	var got [][2]uint64
+	r := retireFunc(func(off, aux uint64) { got = append(got, [2]uint64{off, aux}) })
+	m.DeferRetire(r, 0x40, 7)
+	m.DeferRetire(r, 0x80, 0)
+	m.Drain()
+	if len(got) != 2 || got[0] != [2]uint64{0x40, 7} || got[1] != [2]uint64{0x80, 0} {
+		t.Fatalf("Retire got %v, want [[64 7] [128 0]]", got)
 	}
 }
 
 func TestStats(t *testing.T) {
 	m := NewManager()
-	m.Defer(func() {})
-	m.Defer(func() {})
+	m.DeferRetire(&counter{}, 0, 0)
+	m.DeferRetire(&counter{}, 0, 0)
 	m.Advance()
 	m.Collect()
 	st := m.Stats()
@@ -205,7 +227,7 @@ func TestStressNoUseAfterReclaim(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		old := current.Load()
 		current.Store(&obj{val: uint64(i)})
-		m.Defer(func() { old.poisoned.Store(true) })
+		m.DeferRetire(retireFunc(func(_, _ uint64) { old.poisoned.Store(true) }), 0, 0)
 		if i%16 == 0 {
 			m.Advance()
 			m.Collect()
@@ -230,9 +252,10 @@ func BenchmarkEnterExit(b *testing.B) {
 
 func BenchmarkDeferCollect(b *testing.B) {
 	m := NewManager()
+	var r counter
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Defer(func() {})
+		m.DeferRetire(&r, 0, 0)
 		if i%64 == 0 {
 			m.Advance()
 			m.Collect()
@@ -289,8 +312,8 @@ func TestUnregisterUnblocksReclamation(t *testing.T) {
 	g.Enter()
 	// A forgotten guard that merely Exits still leaves a registry entry;
 	// Unregister removes it so minProtected no longer scans it.
-	var ran atomic.Int32
-	m.Defer(func() { ran.Add(1) })
+	var ran counter
+	m.DeferRetire(&ran, 0, 0)
 	if n := m.Collect(); n != 0 {
 		t.Fatalf("Collect = %d under active guard", n)
 	}

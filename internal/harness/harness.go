@@ -94,22 +94,26 @@ var (
 	ScanHeavy = Mix{Reads: 50, Scans: 50}
 )
 
-// IndexOps is the per-thread surface every index variant exposes. Errors
-// for key-exists / not-found are expected outcomes under contention and
-// are not failures.
-type IndexOps interface {
+// PointOps is the point-operation surface every index handle shares.
+// Key-exists / not-found errors (IsKeyExists, IsNotFound) are expected
+// outcomes under contention, not failures.
+type PointOps interface {
 	Insert(key, value uint64) error
 	Get(key uint64) (uint64, error)
 	Update(key, value uint64) error
 	Delete(key uint64) error
+}
+
+// IndexOps is the per-thread surface Run drives: the point ops plus a
+// key-ordered range scan.
+type IndexOps interface {
+	PointOps
 	Scan(from, to uint64, fn func(key, value uint64) bool) error
 }
 
-// IndexFactory mints per-thread IndexOps over one shared index.
-type IndexFactory interface {
-	Name() string
-	NewOps(seed int64) IndexOps
-}
+// NewOps mints one thread's IndexOps over a shared index (SkipList,
+// CASList, BwTree, HashTable, Routed). seed varies per thread.
+type NewOps func(seed int64) IndexOps
 
 // Workload describes one index experiment.
 type Workload struct {
@@ -124,7 +128,6 @@ type Workload struct {
 
 // Result is one measured cell.
 type Result struct {
-	Variant    string
 	Threads    int
 	Ops        int
 	Elapsed    time.Duration
@@ -136,7 +139,7 @@ type Result struct {
 // Run executes the workload and returns aggregate throughput.
 // sampleFlushes, if non-nil, is read before and after the timed region
 // (typically wired to the device's flush counter).
-func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error) {
+func Run(newOps NewOps, w Workload, sampleFlushes func() uint64) (Result, error) {
 	if w.Mix.total() != 100 {
 		return Result{}, fmt.Errorf("harness: mix sums to %d, want 100", w.Mix.total())
 	}
@@ -149,7 +152,7 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 
 	// Preload with evenly spread keys so lookups hit.
 	if w.Preload > 0 {
-		ops := f.NewOps(0x5eed)
+		ops := newOps(0x5eed)
 		stride := w.KeySpace / uint64(w.Preload)
 		if stride == 0 {
 			stride = 1
@@ -178,7 +181,7 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			errs[t] = worker(f.NewOps(int64(t)+1), w, nonce+int64(t))
+			errs[t] = worker(newOps(int64(t)+1), w, nonce+int64(t))
 		}(t)
 	}
 	wg.Wait()
@@ -191,7 +194,6 @@ func Run(f IndexFactory, w Workload, sampleFlushes func() uint64) (Result, error
 
 	total := w.Threads * w.OpsPer
 	r := Result{
-		Variant:   f.Name(),
 		Threads:   w.Threads,
 		Ops:       total,
 		Elapsed:   elapsed,
@@ -225,7 +227,7 @@ func worker(ops IndexOps, w Workload, seed int64) error {
 			err = ops.Insert(k, v)
 		case p < w.Mix.Reads+w.Mix.Inserts+w.Mix.Updates:
 			err = ops.Update(k, v)
-			if isNotFound(err) {
+			if IsNotFound(err) {
 				err = ops.Insert(k, v) // upsert semantics for the mix
 			}
 		case p < w.Mix.Reads+w.Mix.Inserts+w.Mix.Updates+w.Mix.Deletes:

@@ -43,7 +43,7 @@ func TestKeyGenDistributions(t *testing.T) {
 }
 
 func TestMixValidation(t *testing.T) {
-	f := &fakeFactory{}
+	f := func(int64) IndexOps { return fakeOps{} }
 	_, err := Run(f, Workload{Threads: 1, OpsPer: 1, KeySpace: 10, Mix: Mix{Reads: 50}}, nil)
 	if err == nil {
 		t.Fatal("mix not summing to 100 accepted")
@@ -53,11 +53,6 @@ func TestMixValidation(t *testing.T) {
 		t.Fatal("zero threads accepted")
 	}
 }
-
-type fakeFactory struct{}
-
-func (f *fakeFactory) Name() string          { return "fake" }
-func (f *fakeFactory) NewOps(int64) IndexOps { return fakeOps{} }
 
 type fakeOps struct{}
 
@@ -101,8 +96,7 @@ func newSkipListEnv(t testing.TB, mode core.Mode) *skiplist.List {
 
 func TestRunSkipListWorkload(t *testing.T) {
 	list := newSkipListEnv(t, core.Persistent)
-	f := &SkipListFactory{List: list, Label: "pmwcas-skiplist"}
-	r, err := Run(f, Workload{
+	r, err := Run(SkipList(list), Workload{
 		Threads: 2, OpsPer: 500, KeySpace: 1 << 10,
 		Dist: Uniform, Mix: UpdateHeavy, Preload: 256,
 	}, nil)
@@ -116,7 +110,7 @@ func TestRunSkipListWorkload(t *testing.T) {
 
 func TestRunAllMixes(t *testing.T) {
 	list := newSkipListEnv(t, core.Persistent)
-	f := &SkipListFactory{List: list, Label: "sl"}
+	f := SkipList(list)
 	for _, mix := range []Mix{ReadOnly, ReadHeavy, UpdateHeavy, InsertDelete, ScanHeavy} {
 		if _, err := Run(f, Workload{
 			Threads: 2, OpsPer: 200, KeySpace: 512,
@@ -278,8 +272,7 @@ func TestOverheadPct(t *testing.T) {
 
 func TestReverseScannerInterface(t *testing.T) {
 	list := newSkipListEnv(t, core.Persistent)
-	f := &SkipListFactory{List: list, Label: "sl"}
-	ops := f.NewOps(1)
+	ops := SkipList(list)(1)
 	rs, ok := ops.(ReverseScanner)
 	if !ok {
 		t.Fatal("skip list ops do not implement ReverseScanner")
@@ -294,7 +287,7 @@ func TestReverseScannerInterface(t *testing.T) {
 }
 
 // Exercise the CAS-list and Bw-tree adapters end to end through Run.
-func TestRunOtherFactories(t *testing.T) {
+func TestRunOtherIndexes(t *testing.T) {
 	spec := []alloc.Class{
 		{BlockSize: 64, Count: 1 << 12},
 		{BlockSize: 512, Count: 1 << 9},
@@ -326,7 +319,7 @@ func TestRunOtherFactories(t *testing.T) {
 	}
 	w := Workload{Threads: 2, OpsPer: 150, KeySpace: 256, Dist: Uniform,
 		Mix: Mix{Reads: 40, Inserts: 20, Updates: 20, Deletes: 10, Scans: 10}, Preload: 64}
-	if r, err := Run(&CASListFactory{List: cl, Label: "cas"}, w, nil); err != nil || r.Ops == 0 {
+	if r, err := Run(CASList(cl), w, nil); err != nil || r.Ops == 0 {
 		t.Fatalf("CAS list run: %+v, %v", r, err)
 	}
 
@@ -337,7 +330,56 @@ func TestRunOtherFactories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := Run(&BwTreeFactory{Tree: tree, Label: "bw"}, w, nil); err != nil || r.Ops == 0 {
+	if r, err := Run(BwTree(tree), w, nil); err != nil || r.Ops == 0 {
 		t.Fatalf("bwtree run: %+v, %v", r, err)
+	}
+}
+
+// shardOps records which shard each op reached.
+type shardOps struct {
+	id  int
+	hit *[]int
+}
+
+func (o shardOps) Insert(_, _ uint64) error     { *o.hit = append(*o.hit, o.id); return nil }
+func (o shardOps) Get(_ uint64) (uint64, error) { *o.hit = append(*o.hit, o.id); return 0, nil }
+func (o shardOps) Update(_, _ uint64) error     { *o.hit = append(*o.hit, o.id); return nil }
+func (o shardOps) Delete(_ uint64) error        { *o.hit = append(*o.hit, o.id); return nil }
+func (o shardOps) Scan(_, _ uint64, _ func(uint64, uint64) bool) error {
+	*o.hit = append(*o.hit, o.id)
+	return nil
+}
+
+func TestRoutedOps(t *testing.T) {
+	var hit []int
+	shard := func(id int) NewOps {
+		return func(int64) IndexOps { return shardOps{id, &hit} }
+	}
+	route := func(k uint64) int { return int(k % 3) }
+	ops := Routed([]NewOps{shard(0), shard(1), shard(2)}, route)(1)
+	for k := uint64(1); k <= 12; k++ {
+		for name, op := range map[string]func() error{
+			"Insert": func() error { return ops.Insert(k, k) },
+			"Get":    func() error { _, err := ops.Get(k); return err },
+			"Update": func() error { return ops.Update(k, k) },
+			"Delete": func() error { return ops.Delete(k) },
+		} {
+			hit = hit[:0]
+			if err := op(); err != nil {
+				t.Fatalf("%s(%d): %v", name, k, err)
+			}
+			if len(hit) != 1 || hit[0] != route(k) {
+				t.Fatalf("%s(%d) reached shards %v, want only %d", name, k, hit, route(k))
+			}
+		}
+	}
+	hit = hit[:0]
+	if err := ops.Scan(1, 100, func(uint64, uint64) bool { return true }); err == nil || len(hit) != 0 {
+		t.Fatalf("Scan over 3 shards: err %v, reached %v; want an error and no shard", err, hit)
+	}
+	hit = hit[:0]
+	one := Routed([]NewOps{shard(7)}, func(uint64) int { return 0 })(1)
+	if err := one.Scan(1, 100, func(uint64, uint64) bool { return true }); err != nil || len(hit) != 1 || hit[0] != 7 {
+		t.Fatalf("Scan over 1 shard: err %v, reached %v; want shard 7", err, hit)
 	}
 }

@@ -3,7 +3,9 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pmwcas/internal/core"
@@ -70,9 +72,8 @@ const allocRetryWindow = 100 * time.Millisecond
 // attempts are counted, not retried — the success rate under contention
 // is itself a measurement. An exhausted descriptor pool is not a failed
 // attempt: the thread reclaims and allocates again, and only counts the
-// attempt failed if nothing is freed within allocRetryWindow. Threads
-// start their attempts together, so the first-spawned thread does not
-// run its share before the others contend.
+// attempt failed if nothing is freed within allocRetryWindow. Attempts of
+// different threads overlap (see overlap).
 func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	if cfg.Threads <= 0 || cfg.OpsPer <= 0 {
 		return MicroResult{}, fmt.Errorf("harness: bad micro config %+v", cfg)
@@ -103,6 +104,8 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	res := MicroResult{Variant: cfg.Variant, Threads: cfg.Threads}
 	succ := make([]int, cfg.Threads)
 	var wg sync.WaitGroup
+	var ov overlap
+	ov.live.Store(int32(cfg.Threads))
 	flushes0 := dev.Stats().Flushes
 
 	switch cfg.Variant {
@@ -120,15 +123,15 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 			return MicroResult{}, err
 		}
 		start := time.Now()
-		gate := make(chan struct{})
 		for t := 0; t < cfg.Threads; t++ {
 			wg.Add(1)
 			go func(t int) {
 				defer wg.Done()
+				defer ov.live.Add(-1)
 				h := pool.NewHandle()
 				rng := rand.New(rand.NewSource(int64(t)*6151 + 3))
 				idx := make([]int, cfg.WordsPerOp)
-				<-gate
+				var last uint64
 				for i := 0; i < cfg.OpsPer; i++ {
 					pickDistinct(rng, cfg.ArrayWords, idx)
 					d, err := h.AllocateDescriptor(0)
@@ -155,13 +158,13 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 						d.Discard()
 						continue
 					}
+					last = ov.await(last)
 					if ok, _ := d.Execute(); ok {
 						succ[t]++
 					}
 				}
 			}(t)
 		}
-		close(gate)
 		wg.Wait()
 		res.Elapsed = time.Since(start)
 		s := pool.Stats()
@@ -170,18 +173,18 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	case VariantHTM:
 		tm := htm.New(dev, cfg.HTM)
 		start := time.Now()
-		gate := make(chan struct{})
 		for t := 0; t < cfg.Threads; t++ {
 			wg.Add(1)
 			go func(t int) {
 				defer wg.Done()
+				defer ov.live.Add(-1)
 				h := tm.NewHandle(int64(t)*6151 + 3)
 				rng := rand.New(rand.NewSource(int64(t)*12289 + 5))
 				idx := make([]int, cfg.WordsPerOp)
 				addrs := make([]nvram.Offset, cfg.WordsPerOp)
 				olds := make([]uint64, cfg.WordsPerOp)
 				news := make([]uint64, cfg.WordsPerOp)
-				<-gate
+				var last uint64
 				for i := 0; i < cfg.OpsPer; i++ {
 					pickDistinct(rng, cfg.ArrayWords, idx)
 					for j, w := range idx {
@@ -189,13 +192,13 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 						olds[j] = h.Read(addrs[j])
 						news[j] = olds[j] + 1
 					}
+					last = ov.await(last)
 					if h.MwCAS(addrs, olds, news) {
 						succ[t]++
 					}
 				}
 			}(t)
 		}
-		close(gate)
 		wg.Wait()
 		res.Elapsed = time.Since(start)
 		res.HTMStats = tm.Stats()
@@ -212,6 +215,27 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	res.OpsPerSec = float64(res.Succeeded) / res.Elapsed.Seconds()
 	res.FlushesPer = float64(dev.Stats().Flushes-flushes0) / float64(res.Attempts)
 	return res, nil
+}
+
+// overlap holds an attempt's CAS, when no other thread has read since
+// the same thread's previous attempt, until one has. On a busy host that
+// runs every thread on one core, a short cell would otherwise run each
+// thread's share back to back and report no conflict at any contention;
+// where threads interleave anyway, no attempt waits. The first attempt
+// waits for a second thread, so the threads also start together.
+type overlap struct {
+	reads atomic.Uint64 // attempts past their reads, all threads
+	live  atomic.Int32  // threads with attempts left
+}
+
+// await is called between an attempt's reads and its CAS. last is what
+// await returned to the thread's previous attempt (0 before the first).
+func (o *overlap) await(last uint64) uint64 {
+	mine := o.reads.Add(1)
+	for mine == last+1 && o.reads.Load() == mine && o.live.Load() > 1 {
+		runtime.Gosched()
+	}
+	return mine
 }
 
 // pickDistinct fills idx with distinct values in [0, n).
